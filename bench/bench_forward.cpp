@@ -51,6 +51,7 @@
 #include "sim/workload.hpp"
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -218,10 +219,11 @@ void run_family(const char* base, const S& scheme, const Graph& g,
           cached_delivered += res.delivered;
         }
         if (delivered != object_delivered || cached_delivered != delivered) {
-          std::cerr << r.family << " n=" << r.n
-                    << ": compiled delivered count diverges from oracle ("
-                    << delivered << "/" << cached_delivered << " vs "
-                    << object_delivered << ")\n";
+          bench::check_failed()
+              << r.family << " n=" << r.n
+              << ": compiled delivered count diverges from oracle ("
+              << delivered << "/" << cached_delivered << " vs "
+              << object_delivered << ")\n";
         }
 
         const double hops = static_cast<double>(r.hops);
@@ -503,8 +505,9 @@ int main(int argc, char** argv) {
   cpr::write_json(out, suites, args.quick);
   std::cout << "wrote " << args.out_path << "\n";
 
+  const int checks = cpr::bench::checks_exit_code();
   if (!args.baseline.empty()) {
-    return cpr::check_baseline(args.baseline, suites);
+    return std::max(checks, cpr::check_baseline(args.baseline, suites));
   }
-  return 0;
+  return checks;
 }

@@ -183,7 +183,8 @@ SuiteResult idle_suite(const ServingInstance& inst, std::size_t batches,
   r.ops_per_s = static_cast<double>(r.runs * kBatchQueries) / r.wall_s;
   fill_percentiles(r, us);
   if (delivered == 0) {
-    std::cerr << "serving_cowen_idle n=" << r.n << ": nothing delivered?\n";
+    bench::check_failed() << "serving_cowen_idle n=" << r.n
+                          << ": nothing delivered?\n";
   }
   return r;
 }
@@ -306,8 +307,8 @@ SuiteResult store_suite(const ServingInstance& inst, std::size_t cycles,
     writer.publish(plane.fib());
     const auto arena = reader.current();
     if (!arena) {
-      std::cerr << "serving_store_publish n=" << r.n
-                << ": reader lost the current generation\n";
+      bench::check_failed() << "serving_store_publish n=" << r.n
+                            << ": reader lost the current generation\n";
       break;
     }
     forward_batch(arena->fib(), pairs, opt);
@@ -402,7 +403,7 @@ SuiteResult staleness_suite(const ServingInstance& inst, std::size_t patches) {
   void* page = ::mmap(nullptr, kStalenessPageBytes, PROT_READ | PROT_WRITE,
                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (page == MAP_FAILED) {
-    std::cerr << "serving_channel_staleness: mmap failed\n";
+    bench::check_failed() << "serving_channel_staleness: mmap failed\n";
     return r;
   }
   auto* words = new (page) std::atomic<std::uint64_t>[kStalenessPageBytes /
@@ -411,7 +412,7 @@ SuiteResult staleness_suite(const ServingInstance& inst, std::size_t patches) {
   const pid_t pid = ::fork();
   if (pid == 0) staleness_writer_child(inst, dir, words, patches);
   if (pid < 0) {
-    std::cerr << "serving_channel_staleness: fork failed\n";
+    bench::check_failed() << "serving_channel_staleness: fork failed\n";
     ::munmap(page, kStalenessPageBytes);
     return r;
   }
@@ -457,15 +458,16 @@ SuiteResult staleness_suite(const ServingInstance& inst, std::size_t patches) {
     }
     r.wall_s = now_seconds() - t0;
   } else {
-    std::cerr << "serving_channel_staleness n=" << r.n
-              << ": reader never adopted the segment\n";
+    bench::check_failed() << "serving_channel_staleness n=" << r.n
+                          << ": reader never adopted the segment\n";
   }
 
   int status = 0;
   ::waitpid(pid, &status, 0);
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    std::cerr << "serving_channel_staleness n=" << r.n
-              << ": writer child failed (status " << status << ")\n";
+    bench::check_failed() << "serving_channel_staleness n=" << r.n
+                          << ": writer child failed (status " << status
+                          << ")\n";
   }
   arena.reset();
   ::munmap(page, kStalenessPageBytes);
@@ -715,8 +717,9 @@ int main(int argc, char** argv) {
   }
   cpr::write_json(out, suites, quick);
   std::cout << "wrote " << out_path << "\n";
+  const int checks = cpr::bench::checks_exit_code();
   if (!args.baseline.empty()) {
-    return cpr::check_baseline(args.baseline, suites);
+    return std::max(checks, cpr::check_baseline(args.baseline, suites));
   }
-  return 0;
+  return checks;
 }

@@ -281,6 +281,24 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
   return a;
 }
 
+// ---- Self-checks ----
+
+// Benches fail rather than warn when a self-check trips (compiled output
+// diverging from its object oracle, a plane that served nothing): the
+// caller streams its reason into check_failed(), the report is still
+// written, and main() exits nonzero through checks_exit_code().
+inline std::size_t& failed_check_count() {
+  static std::size_t count = 0;
+  return count;
+}
+
+inline std::ostream& check_failed() {
+  ++failed_check_count();
+  return std::cerr << "CHECK FAILED: ";
+}
+
+inline int checks_exit_code() { return failed_check_count() == 0 ? 0 : 1; }
+
 // Suite-name filter predicate: empty filter keeps everything.
 inline bool suite_wanted(const std::string& filter, const char* name) {
   return filter.empty() ||

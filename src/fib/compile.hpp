@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 namespace cpr {
 
@@ -96,11 +97,11 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
     landmark[v] = scheme.landmark_of(v);
     landmark_port[v] = scheme.port_at_landmark(v);
   }
-  b.add_array(fib_section::kCowenRowOff, row_off);
-  b.add_array(fib_section::kCowenRowLen, row_len);
-  b.add_array(fib_section::kCowenRows, rows);
-  b.add_array(fib_section::kCowenLandmark, landmark);
-  b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
+  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
+  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
+  b.add_array(fib_section::kCowenRows, std::move(rows));
+  b.add_array(fib_section::kCowenLandmark, std::move(landmark));
+  b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
   // The v3 Eytzinger mirror (kCowenRowsEyt) is synthesized by finish()
   // from the sorted rows — one code path for compiles, patches and
   // hand-assembled arenas keeps every v3 blob byte-identical.
@@ -184,13 +185,13 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
     std::copy(buckets[bkt].begin(), buckets[bkt].end(),
               dict.begin() + 2 + static_cast<std::size_t>(bkt * bucket_cap));
   }
-  b.add_array(fib_section::kCowenRowOff, row_off);
-  b.add_array(fib_section::kCowenRowLen, row_len);
-  b.add_array(fib_section::kCowenRows, rows);
-  b.add_array(fib_section::kCowenLandmark, landmark);
-  b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
-  b.add_array(fib_section::kLabelMap, label_of);
-  b.add_array(fib_section::kDictionary, dict);
+  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
+  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
+  b.add_array(fib_section::kCowenRows, std::move(rows));
+  b.add_array(fib_section::kCowenLandmark, std::move(landmark));
+  b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
+  b.add_array(fib_section::kLabelMap, std::move(label_of));
+  b.add_array(fib_section::kDictionary, std::move(dict));
   // finish() synthesizes the Eytzinger mirror from the label-keyed rows
   // and stamps the v4 magic (label sections present).
   return b.finish();

@@ -1,13 +1,15 @@
 #include "fib/flat_fib.hpp"
 
 #include "fib/fib_delta.hpp"
-#include "util/bitstream.hpp"
 #include "util/hugepage.hpp"
+#include "util/thread_pool.hpp"
 
 #include <atomic>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace cpr {
 namespace {
@@ -43,15 +45,6 @@ constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8 + 8;  // 40
 constexpr std::size_t kDirEntryBytes = 4 + 4 + 8 + 8;    // 24
 constexpr std::size_t kChecksumOffset = 32;              // u64 in the header
 constexpr std::size_t kSectionAlign = 64;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t nbytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("FlatFib: " + what);
@@ -171,6 +164,15 @@ std::uint32_t eytzinger_fill(const std::uint64_t* sorted, std::uint64_t* eyt,
 
 }  // namespace
 
+std::uint64_t fib_payload_fnv1a(const std::uint8_t* data, std::size_t nbytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < nbytes; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
                                std::uint32_t len, std::uint64_t* eyt) {
   eytzinger_fill(sorted, eyt, len, 0, 0);
@@ -254,17 +256,47 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   if (payload_begin > avail || payload_bytes > avail - payload_begin) {
     fail("blob truncated");
   }
-  const std::size_t total = payload_begin + payload_bytes;
+  fib.bytes_ = payload_begin + payload_bytes;
+  fib.payload_begin_ = payload_begin;
+  fib.kind_ = static_cast<FibKind>(kind_raw);
+  fib.node_count_ = node_count;
+
   // from_shared opens a live mapping whose Cowen sections may be
   // mid-patch (and whose payload checksum is refreshed lazily, so it is
   // stale by design under churn): content checks are the snapshot
   // validator's job there, not the open's.
-  if (fib.deep_validate_ &&
-      fnv1a(base + payload_begin, payload_bytes) != checksum) {
-    fail("checksum mismatch");
+  if (!fib.deep_validate_) {
+    open_sections(fib, section_count);
+    return fib;
   }
+  // The checksum and the structural checks read disjoint state, so they
+  // run as two tasks; parallel_for is nesting-safe, and on a pool with no
+  // idle worker the caller runs them in this order. The structural task
+  // keeps its error to itself: a checksum mismatch wins, whichever task
+  // finishes first, so the reported reason does not depend on scheduling.
+  std::uint64_t actual = 0;
+  std::exception_ptr structural;
+  parallel_for(ThreadPool::global(), 0, 2, [&](std::size_t task) {
+    if (task == 0) {
+      actual = fib_payload_fnv1a(base + payload_begin, payload_bytes);
+      return;
+    }
+    try {
+      open_sections(fib, section_count);
+    } catch (...) {
+      structural = std::current_exception();
+    }
+  });
+  if (actual != checksum) fail("checksum mismatch");
+  if (structural) std::rethrow_exception(structural);
+  return fib;
+}
 
-  Directory dir(base, total);
+void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
+  const std::uint8_t* base = fib.base_;
+  const std::size_t dir_end = kHeaderBytes + section_count * kDirEntryBytes;
+  const std::size_t payload_begin = fib.payload_begin_;
+  Directory dir(base, fib.bytes_);
   for (std::uint32_t s = 0; s < section_count; ++s) {
     const std::uint8_t* e = base + kHeaderBytes + s * kDirEntryBytes;
     std::uint32_t id, pad;
@@ -285,11 +317,7 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
     if (base[i] != 0) fail("directory tail padding is nonzero");
   }
 
-  const std::size_t n = node_count;
-  fib.bytes_ = total;
-  fib.payload_begin_ = payload_begin;
-  fib.kind_ = static_cast<FibKind>(kind_raw);
-  fib.node_count_ = n;
+  const std::size_t n = fib.node_count_;
 
   // Topology (every kind). Slot counts must agree across the three arrays
   // and every neighbor id must be a valid node.
@@ -592,12 +620,11 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
       break;
     }
   }
-  return fib;
 }
 
 FlatFib FlatFib::from_blob(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint64_t> words((bytes.size() + 7) / 8, 0);
-  std::memcpy(words.data(), bytes.data(), bytes.size());
+  if (!bytes.empty()) std::memcpy(words.data(), bytes.data(), bytes.size());
   return from_words(std::move(words));
 }
 
@@ -664,8 +691,8 @@ std::uint8_t* FlatFib::section_ptr(std::uint32_t id) {
 
 void FlatFib::refresh_checksum() const {
   if (!writable_ || mutable_base_ == nullptr) return;  // foreign read-only
-  const std::uint64_t sum =
-      fnv1a(mutable_base_ + payload_begin_, bytes_ - payload_begin_);
+  const std::uint64_t sum = fib_payload_fnv1a(mutable_base_ + payload_begin_,
+                                              bytes_ - payload_begin_);
   std::memcpy(mutable_base_ + kChecksumOffset, &sum, 8);
   checksum_stale_ = false;
 }
@@ -883,18 +910,31 @@ void FibBuilder::add_topology(const Graph& g) {
       edge[offsets[v] + p] = row[p].edge;
     }
   }
-  add_array(fib_section::kTopoOffsets, offsets);
-  add_array(fib_section::kTopoNeighbor, neighbor);
-  add_array(fib_section::kTopoEdge, edge);
+  add_array(fib_section::kTopoOffsets, std::move(offsets));
+  add_array(fib_section::kTopoNeighbor, std::move(neighbor));
+  add_array(fib_section::kTopoEdge, std::move(edge));
 }
 
 void FibBuilder::add_section(std::uint32_t id, const void* data,
                              std::size_t nbytes) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  sections_.push_back({id, std::vector<std::uint8_t>(p, p + nbytes)});
+  add_array(id, std::vector<std::uint8_t>(p, p + nbytes));
 }
 
 FlatFib FibBuilder::finish() {
+  namespace fs = fib_section;
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t roff = kNone, rlen = kNone, rows = kNone;
+  bool have_eyt = false;
+  bool has_label_sections = false;
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    const std::uint32_t id = sections_[i].id;
+    if (id == fs::kCowenRowOff) roff = i;
+    if (id == fs::kCowenRowLen) rlen = i;
+    if (id == fs::kCowenRows) rows = i;
+    if (id == fs::kCowenRowsEyt) have_eyt = true;
+    if (id == fs::kLabelMap || id == fs::kDictionary) has_label_sections = true;
+  }
   // v3: kCowen (and kTz, which shares the row layout) arenas must carry
   // the Eytzinger mirror. Synthesize it from the sorted rows when the
   // caller did not add one explicitly — compile adapters and
@@ -903,105 +943,95 @@ FlatFib FibBuilder::finish() {
   // last so older section ordering (and the golden v2 layout it was
   // pinned from) is a strict prefix of the v3 layout. Shape checks are
   // skipped here: a malformed arena fails the loader below anyway.
-  if (kind_ == FibKind::kCowen || kind_ == FibKind::kTz) {
-    namespace fs = fib_section;
-    const Section* roff = nullptr;
-    const Section* rlen = nullptr;
-    const Section* rows = nullptr;
-    bool have_eyt = false;
-    for (const auto& s : sections_) {
-      if (s.id == fs::kCowenRowOff) roff = &s;
-      if (s.id == fs::kCowenRowLen) rlen = &s;
-      if (s.id == fs::kCowenRows) rows = &s;
-      if (s.id == fs::kCowenRowsEyt) have_eyt = true;
-    }
-    if (!have_eyt && roff && rlen && rows &&
-        roff->bytes.size() == (node_count_ + 1) * 4 &&
-        rlen->bytes.size() == node_count_ * 4 && rows->bytes.size() % 8 == 0) {
-      std::vector<std::uint32_t> off(node_count_ + 1);
-      std::vector<std::uint32_t> len(node_count_);
-      std::vector<std::uint64_t> sorted(rows->bytes.size() / 8);
-      std::memcpy(off.data(), roff->bytes.data(), roff->bytes.size());
-      std::memcpy(len.data(), rlen->bytes.data(), rlen->bytes.size());
-      std::memcpy(sorted.data(), rows->bytes.data(), rows->bytes.size());
-      std::vector<std::uint64_t> eyt(sorted.size(), 0);
-      for (std::size_t v = 0; v < node_count_; ++v) {
-        if (off[v + 1] < off[v] || off[v + 1] > sorted.size() ||
-            len[v] > off[v + 1] - off[v]) {
-          break;  // malformed CSR: let the validating loader reject it
-        }
-        fib_eytzinger_from_sorted(sorted.data() + off[v], len[v],
-                                  eyt.data() + off[v]);
-      }
-      add_array(fs::kCowenRowsEyt, eyt);
-    }
-  }
+  const bool synth_eyt =
+      (kind_ == FibKind::kCowen || kind_ == FibKind::kTz) && !have_eyt &&
+      roff != kNone && rlen != kNone && rows != kNone &&
+      sections_[roff].bytes == (node_count_ + 1) * 4 &&
+      sections_[rlen].bytes == node_count_ * 4 &&
+      sections_[rows].bytes % 8 == 0;
 
-  // Lay out offsets first so the directory can be written in one pass.
-  const std::size_t dir_end =
-      kHeaderBytes + sections_.size() * kDirEntryBytes;
-  std::size_t cursor = align_up(dir_end, kSectionAlign);
-  const std::size_t payload_begin = cursor;
+  // Layout first: header, directory, then every section at a 64-byte
+  // aligned offset, so the blob's final size is known before any byte
+  // of it is written.
+  const std::size_t section_count = sections_.size() + (synth_eyt ? 1 : 0);
+  const std::size_t dir_end = kHeaderBytes + section_count * kDirEntryBytes;
+  const std::size_t payload_begin = align_up(dir_end, kSectionAlign);
   std::vector<std::uint64_t> offsets;
-  offsets.reserve(sections_.size());
+  offsets.reserve(section_count);
+  std::size_t cursor = payload_begin;
   for (const auto& s : sections_) {
     offsets.push_back(cursor);
-    cursor = align_up(cursor + s.bytes.size(), kSectionAlign);
+    cursor = align_up(cursor + s.bytes, kSectionAlign);
+  }
+  if (synth_eyt) {
+    offsets.push_back(cursor);
+    cursor = align_up(cursor + sections_[rows].bytes, kSectionAlign);
   }
   const std::size_t total = cursor;
-  const std::size_t payload_bytes = total - payload_begin;
 
-  // Assemble the payload region to checksum it before writing the header.
-  std::vector<std::uint8_t> payload(payload_bytes, 0);
+  // The one buffer. Huge-page advice goes in before the zero fill first
+  // touches it; the zeros are the header's reserved and pad fields, the
+  // directory tail and every section's alignment tail.
+  std::vector<std::uint64_t> words;
+  words.reserve(total / 8);
+  advise_huge_pages(words.data(), total);
+  words.resize(total / 8);
+  auto* base = reinterpret_cast<std::uint8_t*>(words.data());
+
+  // Each section is copied in once and its own storage freed straight
+  // after, so the builder never holds two images of the payload.
   for (std::size_t i = 0; i < sections_.size(); ++i) {
-    std::memcpy(payload.data() + (offsets[i] - payload_begin),
-                sections_[i].bytes.data(), sections_[i].bytes.size());
+    if (sections_[i].bytes != 0) {
+      std::memcpy(base + offsets[i], sections_[i].data, sections_[i].bytes);
+    }
+    sections_[i].storage.reset();
   }
-  const std::uint64_t checksum = fnv1a(payload.data(), payload.size());
+
+  // The mirror is built in place from the sorted rows already in the
+  // buffer, row by row, up to the first malformed CSR entry (the loader
+  // rejects such an arena below; its mirror stays zero from there on).
+  if (synth_eyt) {
+    const std::uint8_t* off_at = base + offsets[roff];
+    const std::uint8_t* len_at = base + offsets[rlen];
+    const std::uint64_t* sorted = words.data() + offsets[rows] / 8;
+    std::uint64_t* eyt = words.data() + offsets.back() / 8;
+    const std::size_t slots = sections_[rows].bytes / 8;
+    for (std::size_t v = 0; v < node_count_; ++v) {
+      std::uint32_t lo, hi, len;
+      std::memcpy(&lo, off_at + 4 * v, 4);
+      std::memcpy(&hi, off_at + 4 * (v + 1), 4);
+      std::memcpy(&len, len_at + 4 * v, 4);
+      if (hi < lo || hi > slots || len > hi - lo) break;
+      fib_eytzinger_from_sorted(sorted + lo, len, eyt + lo);
+    }
+  }
 
   // Emit the lowest version that carries the arena's sections: only the
   // label layer (kTz, or explicit label sections on a future kind) needs
   // the v4 magic, so every pre-existing kind keeps serializing
   // byte-identically to its pinned v3 goldens.
-  bool has_label_sections = false;
-  for (const auto& s : sections_) {
-    if (s.id == fib_section::kLabelMap || s.id == fib_section::kDictionary) {
-      has_label_sections = true;
-    }
-  }
   const bool v4 = kind_ == FibKind::kTz || has_label_sections;
-
-  BitWriter w;
-  w.write_raw(v4 ? kMagicV4 : kMagic, sizeof(kMagic));
-  const std::uint32_t kind_raw = static_cast<std::uint32_t>(kind_);
-  const std::uint32_t node_count = static_cast<std::uint32_t>(node_count_);
-  const std::uint32_t section_count =
-      static_cast<std::uint32_t>(sections_.size());
-  const std::uint32_t reserved = 0;
-  w.write_raw(&kind_raw, 4);
-  w.write_raw(&node_count, 4);
-  w.write_raw(&section_count, 4);
-  w.write_raw(&reserved, 4);
-  const std::uint64_t payload_bytes64 = payload_bytes;
-  w.write_raw(&payload_bytes64, 8);
-  w.write_raw(&checksum, 8);
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const std::uint32_t pad = 0;
-    const std::uint64_t off64 = offsets[i];
-    const std::uint64_t bytes64 = sections_[i].bytes.size();
-    w.write_raw(&sections_[i].id, 4);
-    w.write_raw(&pad, 4);
-    w.write_raw(&off64, 8);
-    w.write_raw(&bytes64, 8);
+  const auto put_u32 = [](std::uint8_t* at, std::uint32_t v) {
+    std::memcpy(at, &v, 4);
+  };
+  const auto put_u64 = [](std::uint8_t* at, std::uint64_t v) {
+    std::memcpy(at, &v, 8);
+  };
+  std::memcpy(base, v4 ? kMagicV4 : kMagic, sizeof(kMagic));
+  put_u32(base + 8, static_cast<std::uint32_t>(kind_));
+  put_u32(base + 12, static_cast<std::uint32_t>(node_count_));
+  put_u32(base + 16, static_cast<std::uint32_t>(section_count));
+  put_u64(base + 24, total - payload_begin);
+  for (std::size_t i = 0; i < section_count; ++i) {
+    std::uint8_t* e = base + kHeaderBytes + i * kDirEntryBytes;
+    const bool mirror = i == sections_.size();
+    put_u32(e, mirror ? fs::kCowenRowsEyt : sections_[i].id);
+    put_u64(e + 8, offsets[i]);
+    put_u64(e + 16, sections_[mirror ? rows : i].bytes);
   }
-  // Zero-pad the directory tail out to the first section boundary, then
-  // append the payload region assembled above.
-  const std::vector<std::uint8_t> zeros(payload_begin - dir_end, 0);
-  w.write_raw(zeros.data(), zeros.size());
-  w.write_raw(payload.data(), payload.size());
-
-  std::vector<std::uint64_t> words((w.bytes().size() + 7) / 8, 0);
-  std::memcpy(words.data(), w.bytes().data(), w.bytes().size());
+  put_u64(base + kChecksumOffset,
+          fib_payload_fnv1a(base + payload_begin, total - payload_begin));
+  sections_.clear();
   return FlatFib::from_words(std::move(words));
 }
 

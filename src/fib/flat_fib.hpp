@@ -22,18 +22,21 @@
 //                shadow graph, a component-id array, and the root-to-root
 //                peering port matrix.
 //
-// The arena IS its serialized form: compile assembles the blob through
-// util/bitstream (bit-packed header + directory, raw aligned sections)
-// and then opens it with the same validating loader a reload uses, so a
-// FIB built once can be dumped with blob(), stored, and later re-opened
-// zero-copy — from_blob adopts the buffer and points typed views into it
-// without re-parsing a single element. No algebra, weights, or scheme
-// object is needed to serve queries (fib/forward_engine.hpp).
+// The arena IS its serialized form: compile writes every section once
+// into the final word buffer (FibBuilder::finish) and then opens it with
+// the same validating loader a reload uses, so a FIB built once can be
+// dumped with blob(), stored, and later re-opened in place — from_words
+// adopts the buffer and points typed views into it without re-parsing a
+// single element. No algebra, weights, or scheme object is needed to
+// serve queries (fib/forward_engine.hpp).
 //
 // Validation is total: magic/version/kind, section directory bounds,
 // FNV-1a checksum over the payload, and structural checks (monotone
 // offset arrays, neighbor/port ranges), so truncated or corrupted blobs
 // are rejected with std::runtime_error instead of misrouting packets.
+// The checksum pass and the structural pass run side by side on the
+// global ThreadPool; a checksum mismatch is reported in preference to
+// any structural error, as if the checksum had been verified first.
 //
 // Blob format v2 ("CPRFIB02") additionally makes the arena *patchable in
 // place*: Cowen row offsets describe per-row capacity (compile-time
@@ -97,6 +100,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -211,6 +215,12 @@ inline constexpr std::uint32_t kRowSearchLinearCutoff = 16;
 // arena stays byte-identical to a fresh compile of the same tables.
 void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
                                std::uint32_t len, std::uint64_t* eyt);
+
+// FNV-1a over a blob's payload region: the checksum stored at header
+// offset 32. The loader verifies it, FibBuilder::finish and
+// refresh_checksum write it, and the patch-channel reader reseals
+// snapshot copies with it — one definition, so they cannot drift.
+std::uint64_t fib_payload_fnv1a(const std::uint8_t* data, std::size_t nbytes);
 
 // Seqlock-protected loads/stores of the mutable arena sections. The
 // patched slots (Cowen rows, row lengths, landmark labels) are written
@@ -436,6 +446,9 @@ class FlatFib {
   void refresh_checksum() const;
   // Validates the blob at base_/writable_ and points the views into it.
   static FlatFib open(FlatFib fib, std::size_t avail);
+  // open()'s directory and structural pass over a header it has already
+  // checked; throws on the first malformed section.
+  static void open_sections(FlatFib& fib, std::uint32_t section_count);
 
   std::vector<std::uint64_t> words_;  // owned blob (empty when non-owning)
   const std::uint8_t* base_ = nullptr;  // words_.data() or foreign memory
@@ -466,15 +479,19 @@ class FlatFib {
 };
 
 // Assembles a blob section by section; compile adapters (fib/compile.hpp)
-// drive it. add_section copies; finish serializes the header + directory
-// through util/bitstream, appends the aligned sections, then opens the
-// result with the validating loader — so every FlatFib in the process,
-// freshly compiled or reloaded, went through the same checks. For kCowen
-// and kTz arenas finish() synthesizes the v3 Eytzinger mirror
-// (kCowenRowsEyt) from the sorted rows when the caller did not add one
-// explicitly, so hand-assembled arenas (tests, tools) cannot produce a
-// v3+ blob with a missing or inconsistent mirror. finish() picks the
-// magic from the content: kTz (or any arena carrying label sections)
+// drive it. add_section and add_array(const&) copy the caller's bytes;
+// add_array(&&) takes the vector over without copying. finish() lays out
+// the header, directory and section offsets, allocates the final word
+// buffer once and copies each section into it once (releasing the
+// section's own storage as it goes), synthesizes the v3 Eytzinger mirror
+// (kCowenRowsEyt) in place from the sorted rows already in the buffer
+// for kCowen and kTz arenas when the caller did not add one, checksums
+// the payload, writes the header, and opens the result with the full
+// validating loader — so every FlatFib in the process, freshly compiled
+// or reloaded, went through the same checks, checksum included.
+// Hand-assembled arenas (tests, tools) therefore cannot produce a v3+
+// blob with a missing or inconsistent mirror. finish() picks the magic
+// from the content: kTz (or any arena carrying label sections)
 // serializes as "CPRFIB04", everything else stays "CPRFIB03"
 // byte-for-byte.
 class FibBuilder {
@@ -491,15 +508,31 @@ class FibBuilder {
     add_section(id, v.data(), v.size() * sizeof(T));
   }
 
+  template <typename T>
+  void add_array(std::uint32_t id, std::vector<T>&& v) {
+    const auto* data = reinterpret_cast<const std::uint8_t*>(v.data());
+    const std::size_t nbytes = v.size() * sizeof(T);
+    sections_.push_back(
+        {id, data, nbytes,
+         Storage(new std::vector<T>(std::move(v)), [](void* p) {
+           delete static_cast<std::vector<T>*>(p);
+         })});
+  }
+
   FlatFib finish();
 
  private:
-  FibKind kind_;
-  std::size_t node_count_;
+  // Type-erased owner of a section's bytes; finish() frees each one as
+  // soon as it has been copied into the blob.
+  using Storage = std::unique_ptr<void, void (*)(void*)>;
   struct Section {
     std::uint32_t id;
-    std::vector<std::uint8_t> bytes;
+    const std::uint8_t* data;  // into `storage`
+    std::size_t bytes;
+    Storage storage;
   };
+  FibKind kind_;
+  std::size_t node_count_;
   std::vector<Section> sections_;
 };
 

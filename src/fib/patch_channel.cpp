@@ -46,15 +46,6 @@ constexpr std::size_t kBlobDirEntryBytes = 24;
 constexpr std::size_t kBlobChecksumOffset = 32;
 constexpr std::size_t kBlobSectionAlign = 64;
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t nbytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Re-seals the inner FNV payload checksum of a private blob copy: a
 // snapshot taken mid-churn carries patched rows but the pre-patch FNV
 // (flat_fib.hpp refreshes it lazily, never through the channel), so the
@@ -72,7 +63,8 @@ bool reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes) {
       (dir_end + kBlobSectionAlign - 1) / kBlobSectionAlign *
       kBlobSectionAlign;
   if (payload_begin > bytes) return false;
-  const std::uint64_t sum = fnv1a(blob + payload_begin, bytes - payload_begin);
+  const std::uint64_t sum =
+      fib_payload_fnv1a(blob + payload_begin, bytes - payload_begin);
   std::memcpy(blob + kBlobChecksumOffset, &sum, 8);
   return true;
 }

@@ -1,6 +1,5 @@
 #include "util/bitstream.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
@@ -35,19 +34,6 @@ void BitWriter::write_gamma(std::uint64_t value) {
 
 void BitWriter::write_bounded(std::uint64_t value, std::uint64_t universe) {
   write_bits(value, bits_for_universe(universe));
-}
-
-void BitWriter::align_to_byte() {
-  while (bit_count_ % 8 != 0) write_bit(false);
-}
-
-void BitWriter::write_raw(const void* data, std::size_t nbytes) {
-  if (bit_count_ % 8 != 0) {
-    throw std::logic_error("write_raw: stream is not byte-aligned");
-  }
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  bytes_.insert(bytes_.end(), p, p + nbytes);
-  bit_count_ += nbytes * 8;
 }
 
 std::uint64_t BitReader::read_bits(unsigned nbits) {
@@ -86,23 +72,6 @@ std::uint64_t BitReader::read_gamma() {
 
 std::uint64_t BitReader::read_bounded(std::uint64_t universe) {
   return read_bits(bits_for_universe(universe));
-}
-
-void BitReader::align_to_byte() {
-  pos_ = (pos_ + 7) / 8 * 8;
-}
-
-void BitReader::read_raw(void* out, std::size_t nbytes) {
-  if (pos_ % 8 != 0) {
-    throw std::logic_error("read_raw: stream is not byte-aligned");
-  }
-  const std::size_t byte = pos_ / 8;
-  if (byte + nbytes > bytes_->size()) {
-    throw std::out_of_range("BitReader: past end");
-  }
-  std::copy(bytes_->data() + byte, bytes_->data() + byte + nbytes,
-            static_cast<std::uint8_t*>(out));
-  pos_ += nbytes * 8;
 }
 
 unsigned bit_width_of(std::uint64_t v) {

@@ -35,16 +35,6 @@ class BitWriter {
   // ceil(log2(universe)) bits (1 bit minimum).
   void write_bounded(std::uint64_t value, std::uint64_t universe);
 
-  // Pads with zero bits to the next byte boundary. Framing for the raw
-  // byte sections of the FIB blob format (fib/flat_fib.hpp): bit-packed
-  // header fields first, then aligned bulk arrays appended bytewise.
-  void align_to_byte();
-
-  // Appends nbytes raw bytes. Requires byte alignment (call align_to_byte
-  // first); unlike write_bits this is a bulk append, not a per-bit loop,
-  // so multi-megabyte arena sections serialize at memcpy speed.
-  void write_raw(const void* data, std::size_t nbytes);
-
   std::size_t bit_count() const { return bit_count_; }
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
@@ -66,12 +56,6 @@ class BitReader {
   std::uint64_t read_varint();
   std::uint64_t read_gamma();
   std::uint64_t read_bounded(std::uint64_t universe);
-
-  // Mirror of BitWriter::align_to_byte / write_raw: skips to the next
-  // byte boundary, then bulk-copies nbytes (throws std::out_of_range past
-  // the end, like read_bits).
-  void align_to_byte();
-  void read_raw(void* out, std::size_t nbytes);
 
   std::size_t position() const { return pos_; }
   bool exhausted() const { return pos_ >= bytes_->size() * 8; }

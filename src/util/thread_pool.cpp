@@ -1,9 +1,11 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
+#include <memory>
 
 namespace cpr {
 namespace {
@@ -13,6 +15,29 @@ namespace {
 // steal for.
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_worker = static_cast<std::size_t>(-1);
+
+// The process-wide pool, built on first use. A forked child inherits the
+// pointer but none of the worker threads, and possibly a queue mutex or
+// the wake condition variable in mid-use by one of them: a push there
+// can block forever. The atfork handler drops the pointer in the child,
+// so its first global() call builds a fresh pool; the parent's copy is
+// leaked, as destroying it would join threads the child does not have.
+std::atomic<ThreadPool*> g_global{nullptr};
+
+void forget_global_pool() {
+  g_global.store(nullptr, std::memory_order_relaxed);
+}
+
+const int g_atfork_registered =
+    ::pthread_atfork(nullptr, nullptr, &forget_global_pool);
+
+std::size_t global_thread_count() {
+  if (const char* env = std::getenv("CPR_THREADS")) {
+    const long v = std::strtol(env, nullptr, 10);
+    if (v > 0) return static_cast<std::size_t>(v);
+  }
+  return 0;
+}
 
 }  // namespace
 
@@ -47,6 +72,10 @@ void ThreadPool::push(std::function<void()> task) {
   } else {
     std::lock_guard<std::mutex> lock(injection_mutex_);
     injection_.push_back(std::move(task));
+  }
+  {
+    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    pushes_.fetch_add(1, std::memory_order_release);
   }
   wake_.notify_one();
 }
@@ -88,6 +117,7 @@ void ThreadPool::worker_loop(std::size_t index) {
   tls_worker = index;
   std::function<void()> task;
   for (;;) {
+    const std::uint64_t seen = pushes_.load(std::memory_order_acquire);
     if (try_pop(index, task)) {
       task();
       task = nullptr;
@@ -104,22 +134,25 @@ void ThreadPool::worker_loop(std::size_t index) {
       }
       return;
     }
-    // The timed wait covers the benign race where a push lands between the
-    // failed try_pop and this wait (push does not hold sleep_mutex_).
-    wake_.wait_for(lock, std::chrono::milliseconds(2));
+    // A push after `seen` was read may have landed in a queue the scan
+    // had already passed; its count bump (under this mutex) either
+    // precedes this check or wakes the wait.
+    wake_.wait(lock, [&] {
+      return stopping_ || pushes_.load(std::memory_order_relaxed) != seen;
+    });
   }
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool* pool = [] {
-    std::size_t threads = 0;
-    if (const char* env = std::getenv("CPR_THREADS")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) threads = static_cast<std::size_t>(v);
-    }
-    return new ThreadPool(threads);  // leaked: must outlive static dtors
-  }();
-  return *pool;
+  ThreadPool* pool = g_global.load(std::memory_order_acquire);
+  if (pool != nullptr) return *pool;
+  auto fresh = std::make_unique<ThreadPool>(global_thread_count());
+  if (g_global.compare_exchange_strong(pool, fresh.get(),
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_acquire)) {
+    return *fresh.release();  // leaked: must outlive static dtors
+  }
+  return *pool;  // lost a first-use race; `fresh` joins its workers
 }
 
 void parallel_for_impl(

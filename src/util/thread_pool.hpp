@@ -23,8 +23,10 @@
 // with zero threads degrades to plain sequential execution.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
@@ -62,7 +64,8 @@ class ThreadPool {
 
   // The process-wide pool used when callers do not pass one explicitly.
   // Sized from the CPR_THREADS environment variable when set, else
-  // hardware_concurrency.
+  // hardware_concurrency. A forked child gets a fresh pool on its first
+  // call; the parent's workers do not exist there.
   static ThreadPool& global();
 
   // Fire-and-forget variant of submit (no future, no result).
@@ -87,6 +90,11 @@ class ThreadPool {
   std::mutex sleep_mutex_;
   std::condition_variable wake_;
   bool stopping_ = false;
+  // Tasks pushed so far. Bumped under sleep_mutex_ after every enqueue,
+  // read by a worker before it scans the queues: an idle worker sleeps
+  // only while the count still equals what it read, so it never misses
+  // a push and never polls.
+  std::atomic<std::uint64_t> pushes_{0};
 };
 
 // Runs f(i) for i in [begin, end). The range is split into chunks of

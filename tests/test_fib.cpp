@@ -26,6 +26,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -255,6 +257,158 @@ TEST(FibBlob, EmptyAndGarbageInputsAreRejected) {
   EXPECT_THROW(FlatFib::from_blob({}), std::runtime_error);
   const std::vector<std::uint8_t> garbage(256, 0xab);
   EXPECT_THROW(FlatFib::from_blob(garbage), std::runtime_error);
+}
+
+// ---- One-buffer assembly ----
+//
+// FibBuilder::finish() writes the blob once into its final buffer; the
+// compile adapters move their sections in, hand-assembled arenas copy
+// theirs. Both must give the same bytes, and the validating open at the
+// end of finish() — checksum overlapped with the structural checks —
+// must still reject whatever it rejected before.
+
+struct AssemblyInstance {
+  Graph g;
+  FlatFib cowen, cowen_slack, tz;
+};
+
+AssemblyInstance assembly_instance() {
+  const ShortestPath alg{16};
+  auto inst = test::seeded_instance(alg, 11, kN, kP);
+  const auto cowen = CowenScheme<ShortestPath>::build(alg, inst.graph,
+                                                      inst.weights, inst.rng);
+  const auto tz = TzNameIndependentScheme<ShortestPath>::build(
+      alg, inst.graph, inst.weights, inst.rng);
+  AssemblyInstance out{inst.graph, compile_fib(cowen, inst.graph),
+                       compile_fib(cowen, inst.graph,
+                                   fib_churn_maintain_options().compile),
+                       compile_fib(tz, inst.graph)};
+  return out;
+}
+
+// Rebuilds a compiled Cowen or TZ arena from its own views, adding the
+// sections the adapters add (finish() synthesizes the mirror) either
+// copied in or moved in.
+FlatFib reassemble(const FlatFib& fib, const Graph& g, bool move_in) {
+  const std::size_t n = fib.node_count();
+  const FlatFib::CowenView& c = fib.cowen();
+  FibBuilder b(fib.kind(), n);
+  b.add_topology(g);
+  const auto add = [&](std::uint32_t id, auto v) {
+    if (move_in) {
+      b.add_array(id, std::move(v));
+    } else {
+      b.add_array(id, v);
+    }
+  };
+  using U32 = std::vector<std::uint32_t>;
+  add(fib_section::kCowenRowOff, U32(c.row_off, c.row_off + n + 1));
+  add(fib_section::kCowenRowLen, U32(c.row_len, c.row_len + n));
+  add(fib_section::kCowenRows,
+      std::vector<std::uint64_t>(c.rows, c.rows + c.row_off[n]));
+  add(fib_section::kCowenLandmark, U32(c.landmark, c.landmark + n));
+  add(fib_section::kCowenLandmarkPort,
+      U32(c.landmark_port, c.landmark_port + n));
+  if (fib.kind() == FibKind::kTz) {
+    const FlatFib::TzView& t = fib.tz();
+    add(fib_section::kLabelMap, U32(t.label_of, t.label_of + n));
+    std::vector<std::uint64_t> dict{t.dict_bucket_count, t.dict_bucket_cap};
+    dict.insert(dict.end(), t.dict,
+                t.dict + t.dict_bucket_count * t.dict_bucket_cap);
+    add(fib_section::kDictionary, std::move(dict));
+  }
+  return b.finish();
+}
+
+std::vector<std::uint8_t> blob_bytes(const FlatFib& fib) {
+  const auto blob = fib.blob();
+  return {blob.begin(), blob.end()};
+}
+
+TEST(FibAssembly, MovedAndCopiedSectionsGiveIdenticalBlobs) {
+  const AssemblyInstance inst = assembly_instance();
+  for (const FlatFib* fib : {&inst.cowen, &inst.cowen_slack, &inst.tz}) {
+    const auto compiled = blob_bytes(*fib);
+    EXPECT_EQ(blob_bytes(reassemble(*fib, inst.g, /*move_in=*/true)),
+              compiled);
+    EXPECT_EQ(blob_bytes(reassemble(*fib, inst.g, /*move_in=*/false)),
+              compiled);
+  }
+  // The slack profile really changed the layout, and TZ is a v4 blob.
+  EXPECT_NE(inst.cowen.byte_size(), inst.cowen_slack.byte_size());
+  EXPECT_EQ(inst.tz.blob_version(), 4u);
+}
+
+std::string open_error(const std::vector<std::uint8_t>& bytes) {
+  try {
+    FlatFib::from_blob(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Rewrites the payload checksum so only the structural checks judge.
+void reseal(std::vector<std::uint8_t>& bytes) {
+  std::uint32_t sections = 0;
+  std::memcpy(&sections, bytes.data() + 16, 4);
+  const std::size_t payload_begin = (40 + sections * 24 + 63) / 64 * 64;
+  const std::uint64_t sum = fib_payload_fnv1a(
+      bytes.data() + payload_begin, bytes.size() - payload_begin);
+  std::memcpy(bytes.data() + 32, &sum, 8);
+}
+
+std::size_t blob_offset(const FlatFib& fib, const void* p) {
+  return static_cast<std::size_t>(static_cast<const std::uint8_t*>(p) -
+                                  fib.blob().data());
+}
+
+TEST(FibAssembly, MalformedCsrPassesFinishAndFailsTheLoader) {
+  Graph g(2);
+  g.add_edge(0, 1);
+  FibBuilder b(FibKind::kCowen, 2);
+  b.add_topology(g);
+  const std::vector<std::uint32_t> row_off{0, 1, 2};
+  const std::vector<std::uint32_t> row_len{2, 1};  // row 0: 2 > capacity 1
+  const std::vector<std::uint64_t> rows{fib_pack_entry(1, 0),
+                                        fib_pack_entry(0, 0)};
+  const std::vector<std::uint32_t> landmark{0, 0};
+  const std::vector<std::uint32_t> landmark_port{kInvalidPort, 0};
+  b.add_array(fib_section::kCowenRowOff, row_off);
+  b.add_array(fib_section::kCowenRowLen, row_len);
+  b.add_array(fib_section::kCowenRows, rows);
+  b.add_array(fib_section::kCowenLandmark, landmark);
+  b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
+  try {
+    b.finish();
+    ADD_FAILURE() << "malformed CSR was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("row length exceeds capacity"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FibAssembly, PayloadFlipFailsTheChecksum) {
+  const FlatFib fib = sample_fib();
+  auto bytes = blob_bytes(fib);
+  // The structural checks accept any landmark port, so flipping one
+  // leaves a structurally valid blob that only the checksum can reject.
+  bytes[blob_offset(fib, fib.cowen().landmark_port)] ^= 0x01;
+  EXPECT_EQ(open_error(bytes), "FlatFib: checksum mismatch");
+  reseal(bytes);
+  EXPECT_EQ(open_error(bytes), "");
+}
+
+TEST(FibAssembly, BlobCorruptBothWaysIsRejected) {
+  const FlatFib fib = sample_fib();
+  auto bytes = blob_bytes(fib);
+  // row_off[n] must equal the row count: off by one breaks the structure
+  // and the checksum at once. The checksum is reported first.
+  bytes[blob_offset(fib, fib.cowen().row_off + fib.node_count())] ^= 0x01;
+  EXPECT_EQ(open_error(bytes), "FlatFib: checksum mismatch");
+  reseal(bytes);
+  EXPECT_EQ(open_error(bytes), "FlatFib: cowen rows: offsets mismatch payload");
 }
 
 // ---- Degenerate graphs ----

@@ -956,15 +956,23 @@ TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
   });
 
   // The patcher: 64 alternating flips of one landmark-port slot, each a
-  // full cross-process patch (seqlock window + checksum fold).
+  // full cross-process patch (seqlock window + checksum fold). Each flip
+  // first waits for one more completed batch and one more validated
+  // snapshot, so both kinds of reader interleave with the patches
+  // however the threads are scheduled.
   constexpr std::size_t kFlips = 64;
+  std::size_t seen_batches = 0;
+  std::size_t seen_snapshots = 0;
   for (std::size_t i = 0; i < kFlips; ++i) {
+    test::wait_for_progress(batches, seen_batches);
+    test::wait_for_progress(snapshots_ok, seen_snapshots);
+    seen_batches = batches.load(std::memory_order_acquire);
+    seen_snapshots = snapshots_ok.load(std::memory_order_acquire);
     FibDelta d;
     d.touched_nodes = 1;
     d.patches.push_back(fib_patch_u32(fib_section::kCowenLandmarkPort, 0,
                                       i % 2 == 0 ? kInvalidPort : orig));
     ASSERT_TRUE(writer.apply(d));
-    std::this_thread::yield();
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : workers) t.join();

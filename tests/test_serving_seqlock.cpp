@@ -118,8 +118,13 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
     });
   }
 
-  // The patcher: one thread, the single-writer contract.
+  // The patcher: one thread, the single-writer contract. Each event
+  // waits for one more completed batch, so the readers interleave with
+  // the patches however the threads are scheduled.
+  std::size_t seen_batches = 0;
   for (const auto& ev : trace) {
+    test::wait_for_progress(batches, seen_batches);
+    seen_batches = batches.load(std::memory_order_acquire);
     started.fetch_add(1, std::memory_order_release);
     const auto applied = engine.apply(ev);
     const auto repair =
@@ -128,7 +133,6 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
                            /*rebuild_dirty_fraction=*/2.0);
     plane.absorb(repair.fib_delta, scheme);
     finished.fetch_add(1, std::memory_order_release);
-    std::this_thread::yield();  // give batches a chance to interleave
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -123,6 +126,20 @@ inline bool hash_in_window(const std::vector<std::uint64_t>& expected,
     if (expected[j] == h) return true;
   }
   return false;
+}
+
+// Paces a test's writer on its readers: returns once `counter` has
+// moved past `seen`, i.e. after at least one more completed read. Gives
+// up after a minute, so a reader that never progresses fails the
+// caller's own assertion instead of hanging the suite.
+inline void wait_for_progress(const std::atomic<std::size_t>& counter,
+                              std::size_t seen) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (counter.load(std::memory_order_acquire) <= seen &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
 }
 
 // ---- Path-weight comparators ----

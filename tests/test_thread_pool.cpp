@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <mutex>
@@ -176,6 +179,35 @@ TEST(ThreadPoolStress, ManyConcurrentParallelFors) {
     EXPECT_EQ(totals[c].load(), 500u * 10);
   }
 }
+
+#if !defined(__SANITIZE_THREAD__)
+// A forked child has none of the parent's workers, and may inherit one
+// of their locks or the wake condition variable in mid-use, so a push
+// to the parent's pool can block forever there. global() must hand the
+// child a pool of its own. A hung child dies by SIGALRM.
+TEST(ThreadPoolFork, ForkedChildGetsItsOwnGlobalPool) {
+  ThreadPool& parent = ThreadPool::global();
+  std::atomic<std::size_t> warm{0};
+  parallel_for(parent, 0, 64, [&](std::size_t) { warm.fetch_add(1); });
+  for (int round = 0; round < 20; ++round) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0) << "fork failed";
+    if (pid == 0) {
+      ::alarm(10);
+      ThreadPool& child = ThreadPool::global();
+      std::atomic<std::size_t> done{0};
+      parallel_for(child, 0, 1000, [&](std::size_t) { done.fetch_add(1); });
+      ::_exit(&child != &parent && done.load() == 1000 ? 0 : 1);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status))
+        << "child hung or crashed in round " << round << " (status "
+        << status << ")";
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "round " << round;
+  }
+}
+#endif
 
 TEST(Rng, ForkIsDeterministicAndScheduleIndependent) {
   Rng a(42), b(42);
