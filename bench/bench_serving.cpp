@@ -206,9 +206,6 @@ SuiteResult churn_suite(const ServingInstance& inst, ThreadPool& pool) {
   Rng build_rng(42);
   CowenOptions copt;
   copt.pool = &pool;
-  // Materialized: churn events run inside the timed window, and a
-  // streamed scheme would lazily rebuild all trees inside the first one.
-  copt.construction = CowenOptions::Construction::kMaterialized;
   auto scheme =
       CowenScheme<ShortestPath>::build(alg, inst.g, inst.w, build_rng, copt);
   MaintainedFib<CowenScheme<ShortestPath>> plane(scheme, inst.g);
@@ -219,7 +216,7 @@ SuiteResult churn_suite(const ServingInstance& inst, ThreadPool& pool) {
       const auto applied = engine.apply(ev);
       const CowenRepairStats stats = scheme.apply_event(
           applied.edge, applied.old_weight, applied.new_weight,
-          engine.weights());  // production dirty-fraction threshold
+          engine.weights());
       plane.absorb(stats.fib_delta, scheme);
     }
     churning.store(false, std::memory_order_release);
@@ -272,9 +269,6 @@ SuiteResult store_suite(const ServingInstance& inst, std::size_t cycles,
   Rng build_rng(42);
   CowenOptions copt;
   copt.pool = &pool;
-  // Materialized: churn events run inside the timed window, and a
-  // streamed scheme would lazily rebuild all trees inside the first one.
-  copt.construction = CowenOptions::Construction::kMaterialized;
   auto scheme =
       CowenScheme<ShortestPath>::build(alg, inst.g, inst.w, build_rng, copt);
   MaintainedFib<CowenScheme<ShortestPath>> plane(scheme, inst.g);
@@ -355,11 +349,8 @@ constexpr std::size_t kMaxStalenessPatches =
         PatchChannelWriter::acquire(dir, static_cast<std::uint64_t>(getpid()));
     Rng build_rng(42);
     // No pool: the parent's worker threads do not survive the fork.
-    // Materialized: this writer applies churn events in its serve loop.
-    CowenOptions copt;
-    copt.construction = CowenOptions::Construction::kMaterialized;
     auto scheme =
-        CowenScheme<ShortestPath>::build(alg, inst.g, inst.w, build_rng, copt);
+        CowenScheme<ShortestPath>::build(alg, inst.g, inst.w, build_rng);
     writer.publish(
         compile_fib(scheme, inst.g, fib_churn_maintain_options().compile));
 

@@ -73,10 +73,9 @@ struct CowenOptions {
   // with a truncated Dijkstra stopped at its nearest-landmark radius, so
   // peak memory is Θ(n·|L|) (the size of the output tables) instead of
   // the Θ(n²) of materializing all_pairs_trees. kMaterialized is the
-  // original path, kept as the exhaustive differential oracle and for
-  // churn-heavy workloads that want every tree resident before the first
-  // apply_event. Both produce bit-identical schemes for every thread
-  // count (tests/test_cowen_streaming.cpp).
+  // original path, kept (with rebuild_from) as the exhaustive
+  // differential oracle; churn never uses it. Both produce bit-identical
+  // schemes for every thread count (tests/test_cowen_streaming.cpp).
   enum class Construction { kStreaming, kMaterialized };
   Construction construction = Construction::kStreaming;
   // Measurement-only escape hatch for the very largest streaming sweeps
@@ -93,13 +92,12 @@ struct CowenOptions {
 
 // What CowenScheme::apply_event did for one churn event.
 struct CowenRepairStats {
-  std::size_t dirty_trees = 0;       // |D|: roots whose tree was recomputed
-  std::size_t reassigned_nodes = 0;  // nodes whose nearest landmark was redone
-  std::size_t patched_targets = 0;   // |D ∪ R|: targets merged into tables
-  bool full_rebuild = false;         // dirty fraction exceeded the threshold
+  // Always false: every event is repaired by the same pinned streamed
+  // rebuild plus diff. Kept for callers that report a fallback rate.
+  bool full_rebuild = false;
   // Footprint on the compiled plane: one row patch per table that
-  // actually changed, slot patches for moved landmark labels, recompile
-  // on full_rebuild. Empty when forwarding is provably unchanged.
+  // actually changed and slot patches for moved landmark labels. Empty
+  // when the event left every table and label unchanged.
   FibDelta fib_delta;
 };
 
@@ -144,6 +142,7 @@ class CowenScheme {
     }
 
     s.pool_ = opt.pool ? opt.pool : &ThreadPool::global();
+    s.landmark_batch_ = opt.landmark_batch ? opt.landmark_batch : 32;
 
     // Flat CSR snapshot: every later phase (tree fan-out, ball/cluster
     // scans, table fill with its O(log deg) port lookups) reads it.
@@ -179,21 +178,21 @@ class CowenScheme {
         s.tables_.assign(n, {});
       }
     } else {
-      s.build_streaming(w, opt.materialize_tables,
-                        opt.landmark_batch ? opt.landmark_batch : 32);
+      s.build_streaming(w, opt.materialize_tables, s.landmark_batch_,
+                        /*promote=*/true);
     }
     return s;
   }
 
-  // Pinned-landmark full rebuild on the weight map `w`: recomputes every
-  // tree, assignment, ball, cluster count and table, but keeps the
-  // landmark *set* fixed (no promotion). This is both the bounded-
-  // staleness fallback of apply_event and the differential oracle the
-  // incremental path is tested against. Landmarks stay pinned under
-  // churn so repair is a pure function of the event — the price is that
-  // clusters may grow past cluster_cap_ until the operator rebuilds with
-  // promotion (`build`); cluster_size() exposes the drift
-  // (docs/dynamic_topology.md derives the staleness bound).
+  // Pinned-landmark full rebuild on the weight map `w` through the
+  // materialized path: recomputes every tree, assignment, ball, cluster
+  // count and table, but keeps the landmark *set* fixed (no promotion).
+  // It is the independent oracle apply_event's streamed rebuild is
+  // tested against. Landmarks stay pinned under churn so repair is a
+  // pure function of the weights — the price is that clusters may grow
+  // past cluster_cap_ until the operator rebuilds with promotion
+  // (`build`); cluster_size() exposes the drift (docs/dynamic_topology.md
+  // derives the staleness bound).
   void rebuild_from(const EdgeMap<W>& w) {
     trees_ = all_pairs_trees(alg_, csr_, w, pool_);
     assign_landmarks();
@@ -201,209 +200,40 @@ class CowenScheme {
     build_tables();
   }
 
-  // Incremental repair for one churn event on edge e. old_w/new_w use
-  // the φ encoding (φ = down); `w` is the post-event weight map. The
-  // repaired scheme is byte-identical to rebuild_from(w) — pinned per
-  // event by tests/test_churn_differential.cpp. When more than
-  // rebuild_dirty_fraction of the per-root trees are dirty, repair
-  // degenerates to the parallel full rebuild (tracking beats patching
-  // only while the dirty set is small).
-  CowenRepairStats apply_event(EdgeId e, const W& old_w, const W& new_w,
-                               const EdgeMap<W>& w,
-                               double rebuild_dirty_fraction = 0.25) {
+  // Repair for one churn event on edge e: a pinned-landmark streamed
+  // rebuild on the post-event weight map `w`, then a diff against the
+  // previous state into the FibDelta the compiled plane absorbs. old_w
+  // and new_w (φ encoding, φ = down) are not needed by the rebuild; the
+  // signature matches the other schemes' apply_event. The result is
+  // byte-identical to rebuild_from(w) — pinned per event by
+  // tests/test_churn_differential.cpp — and needs only the streamed
+  // build's Θ(n·|L|) memory: no tree is ever made resident.
+  CowenRepairStats apply_event(EdgeId e, const W& /*old_w*/,
+                               const W& /*new_w*/, const EdgeMap<W>& w) {
     CowenRepairStats stats;
     const std::size_t n = graph_->node_count();
     if (n == 0 || e >= graph_->edge_count()) return stats;
 
-    // Streamed builds keep no resident trees, but every phase below —
-    // dirty detection, landmark reassignment, the table patch — reads
-    // them. Materialize once, from the *pre-event* weights: the event
-    // moved exactly one edge, so the pre-event map is w with e rolled
-    // back to old_w. From here on the scheme is byte-identical to one
-    // built with Construction::kMaterialized, at a one-time Θ(n²) cost —
-    // churn-heavy callers should build materialized up front instead of
-    // paying it inside their first event.
-    if (trees_.size() != n) {
-      EdgeMap<W> pre = w;
-      pre[e] = old_w;
-      trees_ = all_pairs_trees(alg_, csr_, pre, pool_);
-    }
+    const auto old_tables = std::move(tables_);
+    const std::vector<NodeId> old_landmark_of = std::move(landmark_of_);
+    const std::vector<Port> old_port_at_landmark = std::move(port_at_landmark_);
+    // Trees from a materialized build describe the pre-event weights; drop
+    // them so tree() cannot serve stale paths.
+    std::vector<PathTree<W>>().swap(trees_);
+    build_streaming(w, /*materialize_tables=*/true, landmark_batch_,
+                    /*promote=*/false);
 
-    const NodeId ea = graph_->edge(e).u;
-    const NodeId eb = graph_->edge(e).v;
-
-    // Phase 1 — dirty-tree detection, O(1) per root: tree t must be
-    // recomputed iff it uses e, or the event creates a candidate through
-    // e that ties-or-beats t's current entry at e's far endpoint (ties
-    // included: first-arrival and hop tie-breaks can flip on a tie; a
-    // conservative recompute of a tied tree is still byte-exact).
-    std::vector<std::uint8_t> dirty(n, 0);
-    parallel_for(
-        *pool_, 0, n,
-        [&](std::size_t t) {
-          dirty[t] = tree_dirty(static_cast<NodeId>(t), e, ea, eb, new_w) ? 1 : 0;
-        },
-        /*grain=*/256);
-    std::vector<NodeId> dirty_roots;
-    for (NodeId t = 0; t < n; ++t) {
-      if (dirty[t]) dirty_roots.push_back(t);
-    }
-    stats.dirty_trees = dirty_roots.size();
-    if (dirty_roots.empty()) return stats;  // forwarding provably unchanged
-
-    if (static_cast<double>(dirty_roots.size()) >
-        rebuild_dirty_fraction * static_cast<double>(n)) {
-      rebuild_from(w);
-      stats.full_rebuild = true;
-      stats.fib_delta.recompile = true;
-      stats.fib_delta.touched_nodes = n;
-      return stats;
-    }
-
-    // Snapshots the repair needs for deltas: pre-event radii, pre-event
-    // rows of every dirty *landmark* tree (assignment depends on them),
-    // and the pre-event assignment itself.
-    const BallRadii old_radii = ball_radii();
-    std::vector<std::pair<NodeId, PathTree<W>>> saved_landmark_trees;
-    for (NodeId t : dirty_roots) {
-      if (is_landmark_[t]) saved_landmark_trees.emplace_back(t, trees_[t]);
-    }
-    const std::vector<NodeId> old_landmark_of = landmark_of_;
-
-    // Phase 2 — recompute the dirty trees (same per-root sweep
-    // all_pairs_trees fans out, so results are bitwise identical to the
-    // full-rebuild oracle's).
-    parallel_for(*pool_, 0, dirty_roots.size(), [&](std::size_t i) {
-      dijkstra_into(alg_, csr_, w, dirty_roots[i], trees_[dirty_roots[i]]);
-    });
-
-    // Phase 3 — landmark reassignment, only where a dirty landmark's row
-    // changed in a way landmark_better can see: every pairwise comparison
-    // at u reads (presence, weight order, hops) of landmark rows, and
-    // only dirty trees moved.
-    std::vector<std::uint8_t> reassess(n, 0);
-    for (const auto& [l, old_tree] : saved_landmark_trees) {
-      const PathTree<W>& now = trees_[l];
-      parallel_for(
-          *pool_, 0, n,
-          [&](std::size_t u) {
-            if (reassess[u]) return;
-            if (row_changed(old_tree, now, static_cast<NodeId>(u))) {
-              reassess[u] = 1;
-            }
-          },
-          /*grain=*/512);
-    }
-    std::vector<NodeId> landmarks;
-    for (NodeId l = 0; l < n; ++l) {
-      if (is_landmark_[l]) landmarks.push_back(l);
-    }
-    parallel_for(
-        *pool_, 0, n,
-        [&](std::size_t i) {
-          if (!reassess[i]) return;
-          landmark_of_[i] = nearest_landmark(static_cast<NodeId>(i), landmarks);
-        },
-        /*grain=*/64);
-    for (NodeId u = 0; u < n; ++u) {
-      stats.reassigned_nodes += reassess[u] ? 1 : 0;
-    }
-
-    // Phase 4 — new radii; R = targets whose ball radius changed at the
-    // order level (order-equal radii keep every ball predicate intact).
-    const BallRadii new_radii = ball_radii();
-    std::vector<std::uint8_t> radius_changed(n, 0);
-    parallel_for(
-        *pool_, 0, n,
-        [&](std::size_t v) {
-          if (old_radii.present[v] != new_radii.present[v]) {
-            radius_changed[v] = 1;
-          } else if (new_radii.present[v] &&
-                     !order_equal(alg_, old_radii.value[v],
-                                  new_radii.value[v])) {
-            radius_changed[v] = 1;
-          }
-        },
-        /*grain=*/512);
-
-    // Patch targets V* = D ∪ R, ascending (merged in id order below).
-    std::vector<NodeId> patch;
-    for (NodeId v = 0; v < n; ++v) {
-      if (dirty[v] || radius_changed[v]) patch.push_back(v);
-    }
-    stats.patched_targets = patch.size();
-
-    // Phase 5 — tables: nodes whose own tree moved refill from scratch;
-    // everyone else merges recomputed entries for V* into their sorted
-    // flat table (all other entries are provably byte-identical). Each
-    // task flags only its own slot, so change tracking is race-free.
-    std::vector<std::uint8_t> table_changed(n, 0);
-    parallel_for(
-        *pool_, 0, n,
-        [&](std::size_t i) {
-          const NodeId u = static_cast<NodeId>(i);
-          if (dirty[u]) {
-            const std::vector<std::pair<NodeId, Port>> before =
-                std::move(tables_[u]);
-            fill_table(u, new_radii);
-            table_changed[u] = before != tables_[u] ? 1 : 0;
-          } else {
-            table_changed[u] = patch_table(u, patch, new_radii) ? 1 : 0;
-          }
-        },
-        /*grain=*/8);
-
-    // Phase 6 — cluster sizes: full recount where u's tree moved, exact
-    // delta over the radius-changed targets elsewhere (for v ∉ R both
-    // ball predicates at an unchanged tree_u row are unchanged).
-    parallel_for(
-        *pool_, 0, n,
-        [&](std::size_t i) {
-          const NodeId u = static_cast<NodeId>(i);
-          if (dirty[u]) {
-            cluster_sizes_[u] = count_cluster(u, new_radii);
-            return;
-          }
-          const PathTree<W>& tree_u = trees_[u];
-          std::size_t c = cluster_sizes_[u];
-          for (NodeId v : patch) {
-            if (v == u || !radius_changed[v]) continue;
-            const bool was = in_ball(tree_u, v, old_radii);
-            const bool is = in_ball(tree_u, v, new_radii);
-            if (was && !is) --c;
-            if (!was && is) ++c;
-          }
-          cluster_sizes_[u] = c;
-        },
-        /*grain=*/8);
-
-    // Phase 7 — labels: the first-hop-at-landmark port moves only when
-    // v's landmark changed or that landmark's tree was recomputed.
-    std::vector<std::uint8_t> lport_changed(n, 0);
-    parallel_for(
-        *pool_, 0, n,
-        [&](std::size_t i) {
-          const NodeId v = static_cast<NodeId>(i);
-          const NodeId lv = landmark_of_[v];
-          const bool need = lv != old_landmark_of[v] ||
-                            (lv != kInvalidNode && dirty[lv]);
-          if (need) {
-            const Port before = port_at_landmark_[v];
-            port_at_landmark_[v] = compute_port_at_landmark(v);
-            if (port_at_landmark_[v] != before) lport_changed[v] = 1;
-          }
-        },
-        /*grain=*/64);
-
-    // Emit the FIB delta: one full-row patch per table that moved plus
-    // 4-byte slot patches for landmark / port-at-landmark changes, in
-    // node-id order so the arena's patcher streams forward.
+    // One full-row patch per table that moved plus 4-byte slot patches for
+    // landmark / port-at-landmark changes, in node-id order so the arena's
+    // patcher streams forward.
     std::vector<std::uint64_t> row;
     for (NodeId v = 0; v < n; ++v) {
+      const bool table_moved = tables_[v] != old_tables[v];
       const bool lm_moved = landmark_of_[v] != old_landmark_of[v];
-      if (!(table_changed[v] || lm_moved || lport_changed[v])) continue;
+      const bool lport_moved = port_at_landmark_[v] != old_port_at_landmark[v];
+      if (!(table_moved || lm_moved || lport_moved)) continue;
       ++stats.fib_delta.touched_nodes;
-      if (table_changed[v]) {
+      if (table_moved) {
         row.clear();
         for (const auto& [target, port] : tables_[v]) {
           row.push_back(fib_pack_entry(target, port));
@@ -415,7 +245,7 @@ class CowenScheme {
         stats.fib_delta.patches.push_back(
             fib_patch_u32(fib_section::kCowenLandmark, v, landmark_of_[v]));
       }
-      if (lport_changed[v]) {
+      if (lport_moved) {
         stats.fib_delta.patches.push_back(fib_patch_u32(
             fib_section::kCowenLandmarkPort, v, port_at_landmark_[v]));
       }
@@ -511,8 +341,8 @@ class CowenScheme {
     return promoted_landmark_count_;
   }
   // Whether all n preferred-path trees are resident: true after a
-  // kMaterialized build, rebuild_from, or the first apply_event on a
-  // streamed scheme; false right after a streaming build.
+  // kMaterialized build or rebuild_from; false after a streaming build
+  // and after any apply_event.
   bool trees_materialized() const {
     return trees_.size() == graph_->node_count();
   }
@@ -653,79 +483,6 @@ class CowenScheme {
         /*grain=*/8);
   }
 
-  // A candidate x --e--> y at weight w_e would tie or beat tree t's
-  // current record at y (using only t's pre-event rows): the exact
-  // single-edge condition under which t's Dijkstra result can move.
-  bool candidate_matters(const PathTree<W>& tree, NodeId t, NodeId x,
-                         NodeId y, const W& w_e) const {
-    if (!tree.reachable(x)) return false;
-    if (y == t) return false;  // the source never gets relaxed
-    const W cand = x == t ? w_e : alg_.combine(tree.weights[x], w_e);
-    if (alg_.is_phi(cand)) return false;
-    if (!tree.has_weight(y)) return true;  // y may become reachable/better
-    return !alg_.less(tree.weights[y], cand);  // cand ties or beats
-  }
-
-  // Does tree t need recomputing after edge e (endpoints ea/eb) moved to
-  // new_w (φ = down)? Exact for downs of unused edges (a tree avoiding e
-  // is bitwise invariant under its removal); conservative on ties
-  // otherwise, which recomputation resolves exactly.
-  bool tree_dirty(NodeId t, EdgeId e, NodeId ea, NodeId eb,
-                  const W& new_w) const {
-    const PathTree<W>& tree = trees_[t];
-    if (ea != t && tree.parent_edge[ea] == e) return true;  // e in tree t
-    if (eb != t && tree.parent_edge[eb] == e) return true;
-    if (alg_.is_phi(new_w)) return false;  // down + unused: invariant
-    return candidate_matters(tree, t, ea, eb, new_w) ||
-           candidate_matters(tree, t, eb, ea, new_w);
-  }
-
-  // Did l's row at u change in a way landmark_better can observe?
-  // (parent/parent_edge are included so the port-bearing consumers can
-  // share the same predicate — conservative for assignment, exact cost.)
-  bool row_changed(const PathTree<W>& before, const PathTree<W>& after,
-                   NodeId u) const {
-    if (before.has_weight(u) != after.has_weight(u)) return true;
-    if (before.parent[u] != after.parent[u]) return true;
-    if (before.parent_edge[u] != after.parent_edge[u]) return true;
-    if (before.hops[u] != after.hops[u]) return true;
-    return before.has_weight(u) &&
-           !order_equal(alg_, before.weights[u], after.weights[u]);
-  }
-
-  // Merge freshly computed entries for the ascending target list `patch`
-  // into u's sorted flat table; entries for targets outside `patch` are
-  // byte-identical by construction and stream through untouched. Returns
-  // whether any entry actually changed (added, dropped, or re-ported), so
-  // apply_event emits FIB row patches only for rows that moved.
-  bool patch_table(NodeId u, const std::vector<NodeId>& patch,
-                   const BallRadii& radius) {
-    auto& table = tables_[u];
-    std::vector<std::pair<NodeId, Port>> merged;
-    merged.reserve(table.size() + patch.size());
-    bool changed = false;
-    std::size_t ti = 0;
-    for (NodeId v : patch) {
-      while (ti < table.size() && table[ti].first < v) {
-        merged.push_back(table[ti++]);
-      }
-      bool had = false;
-      Port old_p = kInvalidPort;
-      if (ti < table.size() && table[ti].first == v) {  // drop stale
-        had = true;
-        old_p = table[ti].second;
-        ++ti;
-      }
-      Port p;
-      const bool has = entry_port(u, v, radius, &p);
-      if (has) merged.emplace_back(v, p);
-      if (has != had || (has && p != old_p)) changed = true;
-    }
-    while (ti < table.size()) merged.push_back(table[ti++]);
-    table = std::move(merged);
-    return changed;
-  }
-
   void recompute_until_stable() {
     const std::size_t n = graph_->node_count();
     for (int round = 0;; ++round) {
@@ -781,10 +538,12 @@ class CowenScheme {
   //      ascending landmark entries reproduce fill_table's flat tables
   //      byte for byte.
   //
-  // Equivalence with the materialized oracle at 1 and 8 threads is
-  // pinned by tests/test_cowen_streaming.cpp.
+  // With promote = false the landmark set stays pinned (one round, no
+  // promotion scan): that is apply_event's rebuild, equal to the
+  // materialized rebuild_from. Equivalence with the materialized oracle at
+  // 1 and 8 threads is pinned by tests/test_cowen_streaming.cpp.
   void build_streaming(const EdgeMap<W>& w, bool materialize_tables,
-                       std::size_t batch) {
+                       std::size_t batch, bool promote) {
     constexpr std::uint32_t kNoSlot = static_cast<std::uint32_t>(-1);
     const std::size_t n = graph_->node_count();
 
@@ -913,6 +672,7 @@ class CowenScheme {
                 .fetch_add(1, std::memory_order_relaxed);
           },
           /*grain=*/16);
+      if (!promote) break;
       bool promoted = false;
       for (NodeId u = 0; u < n; ++u) {
         if (!is_landmark_[u] && counts[u] > cluster_cap_) {
@@ -1129,6 +889,7 @@ class CowenScheme {
   CsrGraph csr_;
   ThreadPool* pool_ = nullptr;
   std::vector<PathTree<W>> trees_;
+  std::size_t landmark_batch_ = 32;
   std::vector<bool> is_landmark_;
   std::vector<NodeId> landmark_of_;
   std::vector<std::size_t> cluster_sizes_;

@@ -177,25 +177,17 @@ class TzNameIndependentScheme {
     return h;
   }
 
-  // Incremental repair: delegate to the Cowen repair, then translate its
+  // Churn repair: delegate to the Cowen repair, then translate its
   // FibDelta into label space. Row patches are re-keyed (node-id keys →
   // labels) and re-sorted; landmark slot patches move from node index to
   // label index and their values from landmark node to landmark label.
   // The repaired scheme stays byte-identical to a fresh build on the
   // post-event weights with the same labels (pinned by test_fib_delta).
   CowenRepairStats apply_event(EdgeId e, const W& old_w, const W& new_w,
-                               const EdgeMap<W>& w,
-                               double rebuild_dirty_fraction = 0.25) {
-    CowenRepairStats stats =
-        cowen_.apply_event(e, old_w, new_w, w, rebuild_dirty_fraction);
+                               const EdgeMap<W>& w) {
+    CowenRepairStats stats = cowen_.apply_event(e, old_w, new_w, w);
     FibDelta translated;
-    translated.recompile = stats.fib_delta.recompile;
     translated.touched_nodes = stats.fib_delta.touched_nodes;
-    if (stats.full_rebuild || stats.fib_delta.recompile) {
-      rebuild_labeled_tables();
-      stats.fib_delta = std::move(translated);
-      return stats;
-    }
     std::vector<std::uint64_t> row;
     for (const FibRowPatch& p : stats.fib_delta.patches) {
       switch (p.section) {

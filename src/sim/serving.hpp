@@ -126,6 +126,7 @@ struct ChannelServeReport {
   std::size_t published = 0;         // full generations (initial + refused)
   std::size_t patched = 0;           // deltas absorbed live, zero republish
   std::size_t refused = 0;           // deltas the channel compacted instead
+  std::size_t noops = 0;             // empty deltas: nothing to send
   std::size_t generations_seen = 0;  // distinct arenas the reader adopted
   std::uint64_t last_generation = 0;
   std::uint64_t patches_visible = 0; // reader-side header counter, final
@@ -147,7 +148,8 @@ struct ChannelServeReport {
 // batch with no republish at all, and `published` only grows when a
 // delta demands recompile (slack exhausted / structural change), which
 // is the channel's compaction path. `patched`, `patches_visible` and
-// `generations_seen` together prove which route every update took.
+// `generations_seen` together prove which route every update took;
+// events whose repair left the tables unchanged count as `noops`.
 template <RoutingAlgebra A, typename S>
 ChannelServeReport serve_churn_through_channel(
     S& scheme, ChurnEngine<A>& engine,
@@ -208,7 +210,9 @@ ChannelServeReport serve_churn_through_channel(
     } else {
       delta.recompile = true;
     }
-    if (writer.apply(delta)) {
+    if (delta.empty()) {
+      ++report.noops;
+    } else if (writer.apply(delta)) {
       ++report.patched;
     } else {
       writer.publish(compile_fib(scheme, g, copt));

@@ -24,11 +24,11 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -248,20 +248,27 @@ TEST(ArenaStore, RestartedWriterContinuesGenerationSequence) {
 
 // ---- The fork test: a real reader process watching a live writer ----
 
-// Child protocol: poll the store until the DONE marker appears, checking
+// Child protocol: poll the store until the parent raises `done`, checking
 // on every poll that the served arena is one of the two valid
-// generations and serves bit-identically to it; after DONE, the final
-// resolve must land on generation 2 (3 is corrupt, 4 was abandoned).
-// Exit codes make the failure mode readable in the parent's assert.
+// generations and serves bit-identically to it, and counting finished
+// polls in `polls`; after `done`, the final resolve must land on
+// generation 2 (3 is corrupt, 4 was abandoned). Exit codes make the
+// failure mode readable in the parent's assert.
 constexpr int kChildOk = 0;
 constexpr int kChildSawInvalidGeneration = 10;
 constexpr int kChildSawWrongBytes = 11;
 constexpr int kChildFinalGenerationWrong = 12;
 constexpr int kChildNeverSawArena = 13;
 
+struct ForkControl {
+  std::atomic<std::size_t> polls{0};  // child: completed polls
+  std::atomic<std::size_t> done{0};   // parent: the writer is finished
+};
+
 int child_reader_main(const fs::path& dir, std::uint64_t hash_gen1,
                       std::uint64_t hash_gen2,
-                      const std::vector<std::pair<NodeId, NodeId>>& queries) {
+                      const std::vector<std::pair<NodeId, NodeId>>& queries,
+                      ForkControl& ctl) {
   ArenaStore store(dir);
   ThreadPool pool(2);
   FibBatchOptions opt;
@@ -269,7 +276,7 @@ int child_reader_main(const fs::path& dir, std::uint64_t hash_gen1,
   bool saw_any = false;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (!fs::exists(dir / "DONE")) {
+  while (ctl.done.load(std::memory_order_acquire) == 0) {
     if (std::chrono::steady_clock::now() > deadline) break;
     if (const auto arena = store.current()) {
       saw_any = true;
@@ -279,7 +286,7 @@ int child_reader_main(const fs::path& dir, std::uint64_t hash_gen1,
           batch_hash(forward_batch(arena->fib(), queries, opt));
       if (h != (gen == 1 ? hash_gen1 : hash_gen2)) return kChildSawWrongBytes;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    ctl.polls.fetch_add(1, std::memory_order_release);
   }
   if (!saw_any) return kChildNeverSawArena;
   const auto final_arena = store.current();
@@ -306,31 +313,34 @@ TEST(ArenaStoreMultiProcess, ChildReaderOnlyServesValidatedGenerations) {
   ArenaStore writer(dir.path);
   writer.publish(gen1);
 
+  test::SharedControl<ForkControl> ctl;
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
     // In the child: never return into gtest, never run atexit handlers.
-    ::_exit(child_reader_main(dir.path, hash1, hash2, queries));
+    const int rc = child_reader_main(dir.path, hash1, hash2, queries, *ctl);
+    ctl->polls.store(test::kProgressExited, std::memory_order_release);
+    ::_exit(rc);
   }
 
-  const auto breathe = [] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // After every step the child finishes a poll that started after it,
+  // however the two processes are scheduled.
+  const auto settle = [&] {
+    test::wait_for_progress(ctl->polls,
+                            ctl->polls.load(std::memory_order_acquire) + 1);
   };
-  breathe();
+  settle();
   writer.publish(gen2);
-  breathe();
+  settle();
   // Generation 3: published all the way — CURRENT names it — but the
   // payload is corrupt. The child must keep serving generation 2.
   const auto bad = corrupted_copy(gen2);
   writer.publish_blob({bad.data(), bad.size()});
-  breathe();
+  settle();
   // Generation 4: the writer is killed between temp-write and rename.
   writer.publish(gen2, PublishStop::kBeforeRename);
-  breathe();
-  {
-    std::ofstream out(dir.path / "DONE");
-    out << "done\n";
-  }
+  settle();
+  ctl->done.store(1, std::memory_order_release);
 
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -386,7 +396,7 @@ TEST(ServingSim, ChurnServedThroughChannel) {
   const ChannelServeReport report = serve_churn_through_channel(
       scheme, engine, trace, dir.path, /*pairs_per_event=*/40, pair_rng);
   EXPECT_EQ(report.events, trace.size());
-  EXPECT_EQ(report.patched + report.refused, trace.size());
+  EXPECT_EQ(report.patched + report.refused + report.noops, trace.size());
   EXPECT_GT(report.patched, 0u)
       << "no delta ever travelled through the live segment";
   // Every publish is accounted for: the initial one plus one per

@@ -1,14 +1,14 @@
-// Property-based differential testing of incremental churn repair.
+// Property-based differential testing of churn repair.
 //
 // The property: after *every* event of a seeded random churn trace, the
-// incrementally repaired scheme is identical to a from-scratch rebuild on
-// the engine's current φ-masked weight map —
+// repaired scheme is identical to a from-scratch rebuild on the engine's
+// current φ-masked weight map —
 //   SpanningTreeScheme::apply_event  vs  SpanningTreeScheme::build
 //   CowenScheme::apply_event         vs  CowenScheme::rebuild_from
-// (rebuild_from goes through all_pairs_trees + full table construction,
-// a different code path from the per-root dijkstra_into patching, so the
-// comparison is not a tautology; the Cowen repair is forced down the
-// incremental path by passing a dirty-fraction threshold > 1).
+// (apply_event is a pinned-landmark streamed rebuild — landmark SSSPs
+// plus truncated balls — while rebuild_from goes through all_pairs_trees
+// and the Θ(n²) ball scans of the materialized construction, so the
+// comparison is not a tautology).
 //
 // When a trace fails, it is minimized before being reported: the failing
 // prefix is cut at the first mismatching event, then earlier events are
@@ -33,11 +33,6 @@
 namespace cpr {
 namespace {
 
-// Forces CowenScheme::apply_event to stay on the incremental path: the
-// dirty fraction can never exceed 1, so the fallback never triggers and
-// the differential oracle exercises the patching code, not rebuild_from.
-constexpr double kNeverRebuild = 2.0;
-
 template <RoutingAlgebra A>
 std::string describe_event(const A& alg,
                            const ChurnEvent<typename A::Weight>& ev,
@@ -61,7 +56,7 @@ std::string describe_event(const A& alg,
 
 // One replay of a (possibly shrunk) trace against fresh schemes.
 enum class ReplayOutcome {
-  kAllMatch,   // every event's incremental state matched the rebuild
+  kAllMatch,   // every event's repaired state matched the rebuild
   kMismatch,   // differential property violated (index reported)
   kInvalid,    // the trace is inconsistent / disconnects the graph
 };
@@ -99,7 +94,7 @@ struct ChurnScenario {
       ChurnEngine<A> engine(alg, g, inst.weights);
       auto tree = SpanningTreeScheme<A>::build(alg, g, inst.weights);
       auto cowen = CowenScheme<A>::build(alg, g, inst.weights, inst.rng);
-      // The oracle shares the incremental scheme's (pinned) landmark set;
+      // The oracle shares the repaired scheme's (pinned) landmark set;
       // per event it does a full pinned-landmark rebuild.
       CowenScheme<A> oracle(cowen);
 
@@ -109,7 +104,7 @@ struct ChurnScenario {
         tree.apply_event(applied.edge, applied.old_weight, applied.new_weight,
                          engine.weights());
         cowen.apply_event(applied.edge, applied.old_weight, applied.new_weight,
-                          engine.weights(), kNeverRebuild);
+                          engine.weights());
 
         const auto tree_oracle =
             SpanningTreeScheme<A>::build(alg, g, engine.weights());
@@ -200,7 +195,7 @@ void run_differential_trace(const A& alg, std::uint64_t seed) {
   const auto shrunk = scenario.shrink(trace, full.first_mismatch);
   auto inst = test::seeded_instance(alg, seed, scenario.n, scenario.p);
   std::ostringstream report;
-  report << alg.name() << " seed=" << seed << ": incremental repair diverged ("
+  report << alg.name() << " seed=" << seed << ": churn repair diverged ("
          << full.detail << ") at event " << full.first_mismatch << " of "
          << trace.size() << ".\nShrunk to " << shrunk.size()
          << " event(s):\n";
@@ -229,42 +224,6 @@ TEST_P(ChurnSeeds, MostReliableIncrementalMatchesRebuild) {
 
 INSTANTIATE_TEST_SUITE_P(Traces, ChurnSeeds,
                          ::testing::Range<std::uint64_t>(1, 19));
-
-// The Cowen fallback path: a threshold of 0 pushes every event with a
-// non-empty dirty set through the parallel rebuild_from, which must land
-// in the same state as the forced-incremental path.
-TEST(ChurnDifferential, FallbackRebuildAgreesWithIncremental) {
-  const ShortestPath alg{16};
-  auto inst = test::seeded_instance(alg, 77, 18, 0.25);
-  ChurnEngine<ShortestPath> engine(alg, inst.graph, inst.weights);
-  auto incremental =
-      CowenScheme<ShortestPath>::build(alg, inst.graph, inst.weights, inst.rng);
-  CowenScheme<ShortestPath> fallback(incremental);
-
-  Rng trace_rng(7);
-  const auto trace =
-      random_churn_trace(alg, inst.graph, inst.weights, 12, trace_rng);
-  ASSERT_FALSE(trace.empty());
-  bool saw_fallback = false;
-  for (const auto& ev : trace) {
-    const auto applied = engine.apply(ev);
-    incremental.apply_event(applied.edge, applied.old_weight,
-                            applied.new_weight, engine.weights(),
-                            kNeverRebuild);
-    const CowenRepairStats stats = fallback.apply_event(
-        applied.edge, applied.old_weight, applied.new_weight, engine.weights(),
-        /*rebuild_dirty_fraction=*/0.0);
-    saw_fallback = saw_fallback || stats.full_rebuild;
-    for (NodeId u = 0; u < inst.graph.node_count(); ++u) {
-      ASSERT_EQ(incremental.landmark_of(u), fallback.landmark_of(u)) << u;
-      ASSERT_EQ(incremental.cluster_size(u), fallback.cluster_size(u)) << u;
-      ASSERT_EQ(incremental.table(u), fallback.table(u)) << u;
-      ASSERT_EQ(incremental.port_at_landmark(u), fallback.port_at_landmark(u))
-          << u;
-    }
-  }
-  EXPECT_TRUE(saw_fallback);
-}
 
 TEST(ChurnEngine, RejectsInconsistentEvents) {
   const ShortestPath alg{16};

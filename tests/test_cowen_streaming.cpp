@@ -10,8 +10,9 @@
 // corpus for the keyed/strict lane (ShortestPath), plus non-strict and
 // generic-heap lanes (WidestPath, MostReliablePath), promotion-heavy
 // options, disconnected graphs, the stats-only table-less mode, and the
-// post-build churn path (apply_event lazily materializes and must then
-// repair byte-identically). Runs under ASan and TSan in CI.
+// churn path (apply_event is a pinned streamed rebuild that must match
+// the materialized rebuild_from after every event without ever making a
+// tree resident). Runs under ASan and TSan in CI.
 #include "algebra/primitives.hpp"
 #include "graph/generators.hpp"
 #include "scheme/cowen.hpp"
@@ -196,9 +197,10 @@ TEST(CowenStream, ApplyEventAfterStreamedBuildMatchesOracle) {
   auto oracle = CowenScheme<ShortestPath>::build(alg, g, inst.weights, rm,
                                                  mopt);
 
-  // A few weight moves on the same edge stream: the streamed scheme
-  // materializes its trees lazily inside the first event, after which
-  // every repair must stay byte-identical to the oracle's.
+  // A few weight moves on the same edge stream: after every event the
+  // streamed repair must be byte-identical (tables and labels) to the
+  // materialized oracle's pinned rebuild, and must never make the n
+  // preferred-path trees resident.
   EdgeMap<std::uint64_t> w = inst.weights;
   Rng erng(99);
   for (int event = 0; event < 6; ++event) {
@@ -206,19 +208,83 @@ TEST(CowenStream, ApplyEventAfterStreamedBuildMatchesOracle) {
     const std::uint64_t old_w = w[e];
     const std::uint64_t new_w = erng.uniform(1, 60);
     w[e] = new_w;
-    const auto rs_stats = streamed.apply_event(e, old_w, new_w, w);
-    const auto ro_stats = oracle.apply_event(e, old_w, new_w, w);
-    EXPECT_EQ(rs_stats.dirty_trees, ro_stats.dirty_trees);
-    EXPECT_EQ(rs_stats.patched_targets, ro_stats.patched_targets);
-    EXPECT_EQ(rs_stats.full_rebuild, ro_stats.full_rebuild);
+    const auto stats = streamed.apply_event(e, old_w, new_w, w);
+    oracle.rebuild_from(w);
+    EXPECT_FALSE(stats.full_rebuild);
+    EXPECT_FALSE(stats.fib_delta.recompile);
+    EXPECT_FALSE(streamed.trees_materialized());
     expect_identical(streamed, oracle, n, "post-event");
   }
-  EXPECT_TRUE(streamed.trees_materialized());
-  for (NodeId t = 0; t < n; ++t) {
-    for (NodeId u = 0; u < n; ++u) {
-      ASSERT_EQ(streamed.tree(t).parent[u], oracle.tree(t).parent[u]);
+}
+
+// Churn keeps the landmark set pinned: with a tight cap, events push
+// clusters past it, and apply_event must still match the pinned oracle
+// instead of promoting the way build() would.
+TEST(CowenStream, ApplyEventKeepsLandmarksPinnedPastTheCap) {
+  const ShortestPath alg{64};
+  auto inst = test::seeded_instance(alg, 3, 56, 0.12);
+  const Graph& g = inst.graph;
+  const std::size_t n = g.node_count();
+
+  CowenOptions sopt;
+  sopt.initial_landmarks = 4;
+  sopt.cluster_cap = 16;
+  Rng rs(404);
+  auto streamed = CowenScheme<ShortestPath>::build(alg, g, inst.weights, rs,
+                                                   sopt);
+  CowenOptions mopt = sopt;
+  mopt.construction = CowenOptions::Construction::kMaterialized;
+  Rng rm(404);
+  auto oracle = CowenScheme<ShortestPath>::build(alg, g, inst.weights, rm,
+                                                 mopt);
+  const std::size_t landmarks = streamed.landmark_count();
+
+  // Make every edge at a landmark expensive: radii, hence balls, grow.
+  std::vector<EdgeId> at_landmark;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (streamed.is_landmark(g.edge(e).u) ||
+        streamed.is_landmark(g.edge(e).v)) {
+      at_landmark.push_back(e);
     }
   }
+  EdgeMap<std::uint64_t> w = inst.weights;
+  std::size_t past_cap = 0;
+  for (const EdgeId e : at_landmark) {
+    const std::uint64_t old_w = w[e];
+    w[e] = 60;
+    streamed.apply_event(e, old_w, w[e], w);
+    oracle.rebuild_from(w);
+    expect_identical(streamed, oracle, n, "pinned");
+    ASSERT_EQ(streamed.landmark_count(), landmarks);
+    for (NodeId u = 0; u < n; ++u) {
+      if (!streamed.is_landmark(u) && streamed.cluster_size(u) > 16) {
+        ++past_cap;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(past_cap, 0u)
+      << "no event pushed a cluster past the cap — pinning is untested";
+}
+
+// A materialized scheme's trees describe the weights it was built on;
+// after an event they are gone rather than stale.
+TEST(CowenStream, MaterializedTreesDroppedByApplyEvent) {
+  const ShortestPath alg{64};
+  auto inst = test::seeded_instance(alg, 8, 24, 0.25);
+  CowenOptions mopt;
+  mopt.construction = CowenOptions::Construction::kMaterialized;
+  auto s = CowenScheme<ShortestPath>::build(alg, inst.graph, inst.weights,
+                                            inst.rng, mopt);
+  ASSERT_TRUE(s.trees_materialized());
+  EXPECT_NO_THROW((void)s.tree(0));
+
+  EdgeMap<std::uint64_t> w = inst.weights;
+  const std::uint64_t old_w = w[0];
+  w[0] = old_w + 7;
+  s.apply_event(0, old_w, w[0], w);
+  EXPECT_FALSE(s.trees_materialized());
+  EXPECT_THROW((void)s.tree(0), std::logic_error);
 }
 
 TEST(CowenStream, StatsOnlyModeSkipsTablesKeepsLabelsExact) {

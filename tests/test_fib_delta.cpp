@@ -130,11 +130,10 @@ TEST_P(DeltaSeeds, CowenPlaneMatchesFreshCompileAfterEveryEvent) {
   ChurnEngine<ShortestPath> engine(alg, g, inst.weights);
   auto scheme =
       CowenScheme<ShortestPath>::build(alg, g, inst.weights, inst.rng);
-  // Force the repair down the incremental path (dirty fraction can never
-  // exceed 1) and never compact on delta width: every event must flow
-  // through emitted row/slot patches, the code this test exists for. On
-  // these small corpus graphs the natural thresholds would compact away
-  // most of the patch coverage.
+  // Never compact on delta width: every event must flow through emitted
+  // row/slot patches, the code this test exists for. On these small
+  // corpus graphs the natural thresholds would compact away most of the
+  // patch coverage.
   FibMaintainOptions opt = fib_churn_maintain_options();
   opt.compaction_fraction = 2.0;
   MaintainedFib<CowenScheme<ShortestPath>> plane(scheme, g, opt);
@@ -146,8 +145,7 @@ TEST_P(DeltaSeeds, CowenPlaneMatchesFreshCompileAfterEveryEvent) {
     const auto applied = engine.apply(trace[i]);
     const auto repair = scheme.apply_event(applied.edge, applied.old_weight,
                                            applied.new_weight,
-                                           engine.weights(),
-                                           /*rebuild_dirty_fraction=*/2.0);
+                                           engine.weights());
     if (plane.absorb(repair.fib_delta, scheme)) ++fast_path_events;
     // The oracle compiles with zero slack — layout differs, behaviour
     // must not.
@@ -192,8 +190,7 @@ TEST_P(DeltaSeeds, TzPlaneMatchesFreshCompileAfterEveryEvent) {
     const auto applied = engine.apply(trace[i]);
     const auto repair = scheme.apply_event(applied.edge, applied.old_weight,
                                            applied.new_weight,
-                                           engine.weights(),
-                                           /*rebuild_dirty_fraction=*/2.0);
+                                           engine.weights());
     if (plane.absorb(repair.fib_delta, scheme)) ++fast_path_events;
     const FlatFib fresh = compile_fib(scheme, g);
     expect_plane_matches_oracle(plane.fib(), fresh, queries,

@@ -95,9 +95,10 @@ TEST_P(DeterminismSeeds, CowenWidestPathNonStrictBalls) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeterminismSeeds,
                          ::testing::Range<std::uint64_t>(1, 6));
 
-// Incremental churn repair fans its phases (dirty detection, tree
-// recompute, reassignment, table patch, cluster deltas) over the scheme's
-// pool; every phase writes disjoint slots, so the repaired state must be
+// Churn repair is a pinned streamed rebuild whose phases (landmark
+// SSSPs, nearest-landmark fold, ball sweeps with atomic cluster counts,
+// table scatter) fan out over the scheme's pool; every phase writes
+// disjoint slots or sums commutatively, so the repaired state must be
 // bit-identical for any thread count. The same seeded trace is played in
 // lockstep against a 1-thread reference and the wider pools, comparing
 // after *every* event — a schedule-dependent bug can't hide behind a
@@ -105,8 +106,6 @@ INSTANTIATE_TEST_SUITE_P(RandomGraphs, DeterminismSeeds,
 template <RoutingAlgebra A>
 void expect_bit_identical_repairs(const A& alg, std::uint64_t seed,
                                   std::size_t n) {
-  // Force the incremental path: the dirty fraction can never exceed 1.
-  constexpr double kNeverRebuild = 2.0;
   constexpr std::size_t kEvents = 12;
 
   // The trace is a pure function of (alg, seed), generated against its
@@ -137,11 +136,9 @@ void expect_bit_identical_repairs(const A& alg, std::uint64_t seed,
       const auto applied = engine.apply(trace[i]);
       const auto ref_applied = ref_engine.apply(trace[i]);
       parallel.apply_event(applied.edge, applied.old_weight,
-                           applied.new_weight, engine.weights(),
-                           kNeverRebuild);
+                           applied.new_weight, engine.weights());
       reference.apply_event(ref_applied.edge, ref_applied.old_weight,
-                            ref_applied.new_weight, ref_engine.weights(),
-                            kNeverRebuild);
+                            ref_applied.new_weight, ref_engine.weights());
       for (NodeId u = 0; u < host.graph.node_count(); ++u) {
         ASSERT_EQ(parallel.landmark_of(u), reference.landmark_of(u))
             << alg.name() << " threads=" << threads << " event=" << i

@@ -686,72 +686,67 @@ constexpr int kReaderWrongFinalBytes = 24;
 constexpr int kWriterApplyRefused = 30;
 constexpr int kWriterHandshakeTimeout = 31;
 
-bool wait_for_file(const fs::path& p,
-                   std::chrono::steady_clock::time_point deadline) {
-  while (!fs::exists(p)) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return true;
-}
-
-void touch(const fs::path& p) {
-  std::ofstream out(p);
-  out << "x\n";
-}
+// Control words shared by the three forked processes.
+struct ForkControl {
+  std::atomic<std::size_t> published{0};  // writer: generation 1 is out
+  std::atomic<std::size_t> done{0};       // writer: every delta applied
+  std::atomic<std::size_t> batches[2]{};  // per reader: completed batches
+};
+constexpr std::size_t kPollingReader = 0;
+constexpr std::size_t kWatcherReader = 1;
 
 // Writer child: publish ONCE, then stream every delta through the live
 // segment. Any republish would show up as generation 2 on disk — the
 // parent and both readers assert there never is one.
 int child_writer_main(const fs::path& dir, const FlatFib& fib0,
-                      const std::vector<FibDelta>& deltas) {
+                      const std::vector<FibDelta>& deltas, ForkControl& ctl) {
   auto writer = PatchChannelWriter::acquire(
       dir, static_cast<std::uint64_t>(::getpid()));
   writer.publish(fib0);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  // Both readers must observe the pre-patch state before churn starts.
-  if (!wait_for_file(dir / "READY.polling", deadline) ||
-      !wait_for_file(dir / "READY.watcher", deadline)) {
-    return kWriterHandshakeTimeout;
+  ctl.published.store(1, std::memory_order_release);
+  // Both readers must serve the pre-patch state before churn starts.
+  std::size_t seen[2] = {0, 0};
+  for (std::size_t r = 0; r < 2; ++r) {
+    test::wait_for_progress(ctl.batches[r], 0);
+    if (ctl.batches[r].load(std::memory_order_acquire) == 0) {
+      return kWriterHandshakeTimeout;
+    }
   }
+  // Each delta waits for one more completed batch from both readers, so
+  // they interleave with the patches however the processes are scheduled.
   for (const FibDelta& d : deltas) {
+    for (std::size_t r = 0; r < 2; ++r) {
+      test::wait_for_progress(ctl.batches[r], seen[r]);
+      seen[r] = ctl.batches[r].load(std::memory_order_acquire);
+    }
     if (!writer.apply(d)) return kWriterApplyRefused;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  touch(dir / "DONE");
+  ctl.done.store(1, std::memory_order_release);
   return kChildOk;
 }
 
-// The shared reader loop: `take` yields the current arena snapshot
-// (polling reader or store watcher). Every batch is bracketed by the
-// segment's seqlock word: lo = seq/2 before (completed patch windows),
-// hi = (seq+1)/2 after (a window the batch may have overlapped), and the
-// batch hash must equal expected[j] for some j in [lo, hi]. File-backed
-// fallbacks read seq() == 0 and must therefore serve expected[0] — the
-// pristine publish — exactly.
+// The shared reader loop, entered once the writer has published: `take`
+// yields the current arena snapshot (polling reader or store watcher),
+// and each finished batch bumps ctl.batches[slot]. Every batch is
+// bracketed by the segment's seqlock word: lo = seq/2 before (completed
+// patch windows), hi = (seq+1)/2 after (a window the batch may have
+// overlapped), and the batch hash must equal expected[j] for some j in
+// [lo, hi]. File-backed fallbacks read seq() == 0 and must therefore
+// serve expected[0] — the pristine publish — exactly.
 template <typename Take>
-int reader_loop(const fs::path& dir, const std::vector<std::uint64_t>& expected,
+int reader_loop(const std::vector<std::uint64_t>& expected,
                 const std::vector<std::pair<NodeId, NodeId>>& queries,
-                const char* ready_name, Take take) {
+                ForkControl& ctl, std::size_t slot, Take take) {
   const std::size_t patches_expected = expected.size() - 1;
   ThreadPool pool(2);
   FibBatchOptions opt;
   opt.pool = &pool;
   opt.seqlock_max_retries = 1u << 20;
-  bool ready = false;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (std::chrono::steady_clock::now() < deadline) {
     const std::shared_ptr<const ChannelArena> arena = take();
-    if (arena == nullptr) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      continue;
-    }
-    if (!ready) {
-      touch(dir / ready_name);
-      ready = true;
-    }
+    if (arena == nullptr) return kReaderNeverAdopted;
     if (arena->arena_generation() != 1) return kReaderWrongGeneration;
     const std::uint64_t lo = arena->seq() >> 1;
     const FibBatchOutput out = forward_batch(arena->fib(), queries, opt);
@@ -759,7 +754,9 @@ int reader_loop(const fs::path& dir, const std::vector<std::uint64_t>& expected,
     if (!test::hash_in_window(expected, batch_hash(out), lo, hi)) {
       return kReaderIllegalBatch;
     }
-    if (fs::exists(dir / "DONE") && arena->via_channel() &&
+    ctl.batches[slot].fetch_add(1, std::memory_order_release);
+    if (ctl.done.load(std::memory_order_acquire) != 0 &&
+        arena->via_channel() &&
         arena->patches_applied() == patches_expected) {
       // Quiesced: the final bytes must be exactly the last churn state.
       const std::uint64_t h =
@@ -767,23 +764,34 @@ int reader_loop(const fs::path& dir, const std::vector<std::uint64_t>& expected,
       return h == expected.back() ? kChildOk : kReaderWrongFinalBytes;
     }
   }
-  return ready ? kReaderNeverSawFinal : kReaderNeverAdopted;
+  return kReaderNeverSawFinal;
 }
 
+// Each reader parks its batch counter at kProgressExited on the way out,
+// so a writer pacing on it never waits for a reader that is gone.
 int child_polling_reader_main(
     const fs::path& dir, const std::vector<std::uint64_t>& expected,
-    const std::vector<std::pair<NodeId, NodeId>>& queries) {
+    const std::vector<std::pair<NodeId, NodeId>>& queries, ForkControl& ctl) {
   PatchChannelReader reader(dir);
-  return reader_loop(dir, expected, queries, "READY.polling",
-                     [&] { return reader.current(); });
+  test::wait_for_progress(ctl.published, 0);
+  const int rc = reader_loop(expected, queries, ctl, kPollingReader,
+                             [&] { return reader.current(); });
+  ctl.batches[kPollingReader].store(test::kProgressExited,
+                                    std::memory_order_release);
+  return rc;
 }
 
 int child_watcher_reader_main(
     const fs::path& dir, const std::vector<std::uint64_t>& expected,
-    const std::vector<std::pair<NodeId, NodeId>>& queries) {
+    const std::vector<std::pair<NodeId, NodeId>>& queries, ForkControl& ctl) {
   StoreWatcher watcher(dir);
-  return reader_loop(dir, expected, queries, "READY.watcher",
-                     [&] { return watcher.snapshot(); });
+  test::wait_for_progress(ctl.published, 0);
+  watcher.wait_for_generation(1, std::chrono::seconds(30));
+  const int rc = reader_loop(expected, queries, ctl, kWatcherReader,
+                             [&] { return watcher.snapshot(); });
+  ctl.batches[kWatcherReader].store(test::kProgressExited,
+                                    std::memory_order_release);
+  return rc;
 }
 
 class PatchChannelSeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -822,7 +830,7 @@ TEST_P(PatchChannelSeeds, CrossProcessBatchesMatchSomeLegalGeneration) {
       const auto applied = engine.apply(ev);
       const auto repair = scheme.apply_event(
           applied.edge, applied.old_weight, applied.new_weight,
-          engine.weights(), /*rebuild_dirty_fraction=*/2.0);
+          engine.weights());
       const FibDelta& delta = repair.fib_delta;
       if (delta.recompile) break;
       if (delta.empty()) continue;
@@ -844,18 +852,21 @@ TEST_P(PatchChannelSeeds, CrossProcessBatchesMatchSomeLegalGeneration) {
     expected.push_back(batch_hash(forward_batch(replay, queries)));
   }
 
+  test::SharedControl<ForkControl> ctl;
   const pid_t writer_pid = ::fork();
   ASSERT_GE(writer_pid, 0);
-  if (writer_pid == 0) ::_exit(child_writer_main(dir.path, fib0, deltas));
+  if (writer_pid == 0) {
+    ::_exit(child_writer_main(dir.path, fib0, deltas, *ctl));
+  }
   const pid_t poll_pid = ::fork();
   ASSERT_GE(poll_pid, 0);
   if (poll_pid == 0) {
-    ::_exit(child_polling_reader_main(dir.path, expected, queries));
+    ::_exit(child_polling_reader_main(dir.path, expected, queries, *ctl));
   }
   const pid_t watch_pid = ::fork();
   ASSERT_GE(watch_pid, 0);
   if (watch_pid == 0) {
-    ::_exit(child_watcher_reader_main(dir.path, expected, queries));
+    ::_exit(child_watcher_reader_main(dir.path, expected, queries, *ctl));
   }
 
   const auto reap = [](pid_t pid, const char* who) {

@@ -73,7 +73,7 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
     for (const auto& ev : trace) {
       const auto applied = engine.apply(ev);
       scheme.apply_event(applied.edge, applied.old_weight, applied.new_weight,
-                         engine.weights(), /*rebuild_dirty_fraction=*/2.0);
+                         engine.weights());
       expected.push_back(batch_hash(
           forward_batch(compile_fib(scheme, inst2.graph), queries)));
     }
@@ -129,8 +129,7 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
     const auto applied = engine.apply(ev);
     const auto repair =
         scheme.apply_event(applied.edge, applied.old_weight,
-                           applied.new_weight, engine.weights(),
-                           /*rebuild_dirty_fraction=*/2.0);
+                           applied.new_weight, engine.weights());
     plane.absorb(repair.fib_delta, scheme);
     finished.fetch_add(1, std::memory_order_release);
   }

@@ -13,10 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
+#include <new>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -128,12 +133,19 @@ inline bool hash_in_window(const std::vector<std::uint64_t>& expected,
   return false;
 }
 
+// A progress counter a forked reader parks here when it exits: it
+// compares above every real count, so a writer pacing on it stops
+// waiting, and wait_for_progress returns at once for a `seen` this high.
+inline constexpr std::size_t kProgressExited =
+    std::numeric_limits<std::size_t>::max() / 2;
+
 // Paces a test's writer on its readers: returns once `counter` has
 // moved past `seen`, i.e. after at least one more completed read. Gives
 // up after a minute, so a reader that never progresses fails the
 // caller's own assertion instead of hanging the suite.
 inline void wait_for_progress(const std::atomic<std::size_t>& counter,
                               std::size_t seen) {
+  if (seen >= kProgressExited) return;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while (counter.load(std::memory_order_acquire) <= seen &&
@@ -141,6 +153,31 @@ inline void wait_for_progress(const std::atomic<std::size_t>& counter,
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }
+
+// Control words for the fork-based suites: one T in an anonymous
+// MAP_SHARED mapping, so the parent and every child forked after
+// construction see the same lock-free atomics.
+template <typename T>
+class SharedControl {
+ public:
+  SharedControl() {
+    void* p = ::mmap(nullptr, sizeof(T), PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::runtime_error("SharedControl: mmap failed");
+    ptr_ = new (p) T();
+  }
+  ~SharedControl() {
+    ptr_->~T();
+    ::munmap(ptr_, sizeof(T));
+  }
+  SharedControl(const SharedControl&) = delete;
+  SharedControl& operator=(const SharedControl&) = delete;
+  T& operator*() const { return *ptr_; }
+  T* operator->() const { return ptr_; }
+
+ private:
+  T* ptr_ = nullptr;
+};
 
 // ---- Path-weight comparators ----
 
