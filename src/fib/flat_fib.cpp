@@ -15,9 +15,9 @@ namespace cpr {
 namespace {
 
 // Blob layout (all little-endian, produced/consumed on the same arch):
-//   header   : magic "CPRFIB03" (8B), kind u32, node_count u32,
+//   header   : magic "CPRFIB05" (8B), kind u32, node_count u32,
 //              section_count u32, reserved u32, payload_bytes u64,
-//              checksum u64 (FNV-1a over the payload region)
+//              checksum u64 (over the payload region, see below)
 //   directory: per section {id u32, pad u32, offset u64, bytes u64};
 //              offset is relative to blob start and 64-byte aligned
 //   payload  : sections back to back, zero-padded to 64-byte boundaries
@@ -35,12 +35,16 @@ namespace {
 // v4 over v3: the label layer. kLabelMap (node→label permutation) and
 // kDictionary (hash-partitioned name→label buckets, fixed-capacity,
 // kFibDictEmpty fill) sections, both mandatory for the kTz kind, which
-// is only legal at v4. finish() emits v4 only when the arena carries
-// label state, so every pre-existing kind keeps producing byte-identical
-// v3 blobs and the pinned v2/v3 goldens stay valid.
-constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '3'};
-constexpr char kMagicV2[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '2'};
-constexpr char kMagicV4[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '4'};
+// is only legal from v4 on.
+//
+// v5 over v4: the payload checksum. v2–v4 use byte-serial FNV-1a; v5
+// uses the chunked four-lane word hash below, which hashes 1 MiB chunks
+// independently so the writer and the loader spread it over the pool.
+// Nothing else moved: a v5 blob differs from the v3/v4 blob of the same
+// arena only in magic byte 7 and checksum bytes 32–39. finish() writes
+// v5 for every kind; v2–v4 blobs still open, serve and reseal in their
+// own checksum.
+constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '5'};
 constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8 + 8;  // 40
 constexpr std::size_t kDirEntryBytes = 4 + 4 + 8 + 8;    // 24
 constexpr std::size_t kChecksumOffset = 32;              // u64 in the header
@@ -162,15 +166,136 @@ std::uint32_t eytzinger_fill(const std::uint64_t* sorted, std::uint64_t* eyt,
   return i;
 }
 
+// eytzinger_fill's walk, comparing eyt against the permutation instead
+// of writing it, so the loader needs no scratch row.
+bool eytzinger_matches(const std::uint64_t* sorted, const std::uint64_t* eyt,
+                       std::uint32_t len, std::uint32_t& i, std::uint32_t k) {
+  if (k >= len) return true;
+  if (!eytzinger_matches(sorted, eyt, len, i, 2 * k + 1)) return false;
+  if (eyt[k] != sorted[i++]) return false;
+  return eytzinger_matches(sorted, eyt, len, i, 2 * k + 2);
+}
+
+// Nodes per task of the parallel per-row passes.
+constexpr std::size_t kNodeBlock = 2048;
+
+// Runs check(v) for every node v in [0, n) in node blocks over the global
+// pool and fails with the message of the lowest failing node, so the
+// reported error is the one a serial scan would report first, whatever
+// the scheduling. check returns nullptr for a good node.
+template <typename Check>
+void check_nodes(std::size_t n, const Check& check) {
+  std::vector<const char*> first((n + kNodeBlock - 1) / kNodeBlock, nullptr);
+  parallel_for_blocks(ThreadPool::global(), 0, n, kNodeBlock,
+                      [&](std::size_t lo, std::size_t hi) {
+                        for (std::size_t v = lo; v < hi; ++v) {
+                          if (const char* why = check(v)) {
+                            first[lo / kNodeBlock] = why;
+                            return;
+                          }
+                        }
+                      });
+  for (const char* why : first) {
+    if (why != nullptr) fail(why);
+  }
+}
+
+// Blob version named by the magic, 0 when it is not one this build opens.
+std::uint32_t magic_version(const std::uint8_t* base) {
+  if (std::memcmp(base, kMagic, 7) != 0) return 0;
+  return base[7] >= '2' && base[7] <= '5' ? base[7] - '0' : 0;
+}
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+std::uint64_t fnv_step(std::uint64_t h, std::uint64_t w) {
+  return (h ^ w) * kFnvPrime;
+}
+
+std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t nbytes) {
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t i = 0; i < nbytes; ++i) h = fnv_step(h, data[i]);
+  return h;
+}
+
+// v5 chunk digest: lane l folds words 4k + l with fnv_step from its own
+// seed; a trailing partial word (never written by finish()) is folded
+// zero-padded. The lanes are then folded in order from kFnvBasis.
+std::uint64_t chunk_digest(const std::uint8_t* p, std::size_t nbytes) {
+  std::uint64_t lane[kFibChecksumLanes];
+  for (std::size_t l = 0; l < kFibChecksumLanes; ++l) {
+    lane[l] = kFnvBasis + l * 0x9e3779b97f4a7c15ull;
+  }
+  const std::size_t words = nbytes / 8;
+  std::size_t i = 0;
+  for (; i + kFibChecksumLanes <= words; i += kFibChecksumLanes) {
+    for (std::size_t l = 0; l < kFibChecksumLanes; ++l) {
+      std::uint64_t w;
+      std::memcpy(&w, p + 8 * (i + l), 8);
+      lane[l] = fnv_step(lane[l], w);
+    }
+  }
+  for (; 8 * i < nbytes; ++i) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + 8 * i, std::min<std::size_t>(8, nbytes - 8 * i));
+    lane[i % kFibChecksumLanes] = fnv_step(lane[i % kFibChecksumLanes], w);
+  }
+  std::uint64_t d = kFnvBasis;
+  for (const std::uint64_t h : lane) d = fnv_step(d, h);
+  return d;
+}
+
+// A payload checksum as independent chunk tasks plus an ordered fold:
+// v5 hashes each 1 MiB chunk on its own; v2–v4 are one FNV-1a task.
+struct ChecksumPlan {
+  std::uint32_t version;
+  const std::uint8_t* data;
+  std::size_t nbytes;
+
+  std::size_t chunks() const {
+    if (version < 5) return 1;
+    return (nbytes + kFibChecksumChunkBytes - 1) / kFibChecksumChunkBytes;
+  }
+  std::uint64_t chunk(std::size_t c) const {
+    if (version < 5) return fnv1a_bytes(data, nbytes);
+    const std::size_t at = c * kFibChecksumChunkBytes;
+    return chunk_digest(data + at,
+                        std::min(kFibChecksumChunkBytes, nbytes - at));
+  }
+  std::uint64_t fold(const std::vector<std::uint64_t>& digests) const {
+    if (version < 5) return digests[0];
+    std::uint64_t h = kFnvBasis;
+    for (const std::uint64_t d : digests) h = fnv_step(h, d);
+    return h;
+  }
+};
+
 }  // namespace
 
-std::uint64_t fib_payload_fnv1a(const std::uint8_t* data, std::size_t nbytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+std::uint64_t fib_payload_checksum(std::uint32_t version,
+                                   const std::uint8_t* data,
+                                   std::size_t nbytes) {
+  const ChecksumPlan plan{version, data, nbytes};
+  std::vector<std::uint64_t> digests(plan.chunks());
+  parallel_for(ThreadPool::global(), 0, digests.size(),
+               [&](std::size_t c) { digests[c] = plan.chunk(c); });
+  return plan.fold(digests);
+}
+
+bool fib_reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes) {
+  if (bytes < kHeaderBytes) return false;
+  const std::uint32_t version = magic_version(blob);
+  std::uint32_t section_count = 0;
+  std::memcpy(&section_count, blob + 16, 4);
+  if (version == 0 || section_count == 0 || section_count > 64) return false;
+  const std::size_t payload_begin =
+      align_up(kHeaderBytes + section_count * kDirEntryBytes, kSectionAlign);
+  if (payload_begin > bytes) return false;
+  const std::uint64_t sum = fib_payload_checksum(
+      version, blob + payload_begin, bytes - payload_begin);
+  std::memcpy(blob + kChecksumOffset, &sum, 8);
+  return true;
 }
 
 void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
@@ -222,15 +347,10 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
 
   if (avail < kHeaderBytes) fail("blob shorter than header");
   if (std::memcmp(base, kMagic, 6) != 0) fail("bad magic");
-  if (std::memcmp(base + 6, kMagic + 6, 2) == 0) {
-    fib.version_ = 3;
-  } else if (std::memcmp(base + 6, kMagicV2 + 6, 2) == 0) {
-    fib.version_ = 2;  // pre-Eytzinger blob: served via binary search
-  } else if (std::memcmp(base + 6, kMagicV4 + 6, 2) == 0) {
-    fib.version_ = 4;  // label layer (kLabelMap / kDictionary sections)
-  } else {
-    fail("unsupported FIB blob version");
-  }
+  // v2: pre-Eytzinger blob, served via binary search; v4: label layer
+  // (kLabelMap / kDictionary sections); v5: chunked word checksum.
+  fib.version_ = magic_version(base);
+  if (fib.version_ == 0) fail("unsupported FIB blob version");
 
   std::uint32_t kind_raw, node_count, section_count, reserved;
   std::uint64_t payload_bytes, checksum;
@@ -246,7 +366,7 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   // pre-v4 blob claiming kTz is malformed, not merely old.
   if (kind_raw == static_cast<std::uint32_t>(FibKind::kTz) &&
       fib.version_ < 4) {
-    fail("tz arenas require blob version 4");
+    fail("tz arenas require blob version 4 or later");
   }
   if (reserved != 0) fail("reserved header field is nonzero");
   if (section_count == 0 || section_count > 64) fail("bad section count");
@@ -269,25 +389,29 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
     open_sections(fib, section_count);
     return fib;
   }
-  // The checksum and the structural checks read disjoint state, so they
-  // run as two tasks; parallel_for is nesting-safe, and on a pool with no
-  // idle worker the caller runs them in this order. The structural task
+  // The checksum chunks and the structural checks read disjoint state, so
+  // they run as tasks of one parallel_for: task 0 is the structural pass
+  // (the longest, so it is claimed first), task c + 1 hashes chunk c into
+  // its own digest slot. parallel_for is nesting-safe, and on a pool with
+  // no idle worker the caller runs them in this order. The structural task
   // keeps its error to itself: a checksum mismatch wins, whichever task
   // finishes first, so the reported reason does not depend on scheduling.
-  std::uint64_t actual = 0;
+  const ChecksumPlan plan{fib.version_, base + payload_begin, payload_bytes};
+  std::vector<std::uint64_t> digests(plan.chunks());
   std::exception_ptr structural;
-  parallel_for(ThreadPool::global(), 0, 2, [&](std::size_t task) {
-    if (task == 0) {
-      actual = fib_payload_fnv1a(base + payload_begin, payload_bytes);
-      return;
-    }
-    try {
-      open_sections(fib, section_count);
-    } catch (...) {
-      structural = std::current_exception();
-    }
-  });
-  if (actual != checksum) fail("checksum mismatch");
+  parallel_for(ThreadPool::global(), 0, digests.size() + 1,
+               [&](std::size_t task) {
+                 if (task > 0) {
+                   digests[task - 1] = plan.chunk(task - 1);
+                   return;
+                 }
+                 try {
+                   open_sections(fib, section_count);
+                 } catch (...) {
+                   structural = std::current_exception();
+                 }
+               });
+  if (plan.fold(digests) != checksum) fail("checksum mismatch");
   if (structural) std::rethrow_exception(structural);
   return fib;
 }
@@ -423,24 +547,27 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
       // keeps both invariants, so reload == fresh compile structurally).
       // Skipped for live shared mappings: these sections are exactly the
       // ones a concurrent writer patches.
+      const std::uint32_t* ro = fib.cowen_.row_off;
+      const std::uint32_t* row_len = fib.cowen_.row_len;
+      const std::uint64_t* sorted = fib.cowen_.rows;
       if (fib.deep_validate_) {
-        for (std::size_t v = 0; v < n; ++v) {
-          const std::uint32_t* ro = fib.cowen_.row_off;
-          const std::uint32_t cap = ro[v + 1] - ro[v];
-          const std::uint32_t len = fib.cowen_.row_len[v];
-          if (len > cap) fail("cowen: row length exceeds capacity");
+        check_nodes(n, [&](std::size_t v) -> const char* {
+          const std::uint32_t len = row_len[v];
+          if (len > ro[v + 1] - ro[v]) {
+            return "cowen: row length exceeds capacity";
+          }
           for (std::uint32_t i = ro[v]; i + 1 < ro[v] + len; ++i) {
-            if (fib_entry_key(fib.cowen_.rows[i]) >=
-                fib_entry_key(fib.cowen_.rows[i + 1])) {
-              fail("cowen: row keys not strictly increasing");
+            if (fib_entry_key(sorted[i]) >= fib_entry_key(sorted[i + 1])) {
+              return "cowen: row keys not strictly increasing";
             }
           }
           for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
-            if (fib.cowen_.rows[i] != 0) fail("cowen: row slack is nonzero");
+            if (sorted[i] != 0) return "cowen: row slack is nonzero";
           }
-        }
+          return nullptr;
+        });
       }
-      // v3 Eytzinger mirror: mandatory for v3 blobs, absent from v2 ones
+      // v3 Eytzinger mirror: mandatory from v3 on, absent from v2 blobs
       // (the engine then binary-searches the sorted image). When present
       // it shares the capacity CSR with kCowenRows and every live prefix
       // must be exactly the Eytzinger permutation of the sorted prefix
@@ -452,21 +579,19 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
                             : dir.optional(fs::kCowenRowsEyt, 8, rows);
         if (er.present) {
           const auto* eyt = reinterpret_cast<const std::uint64_t*>(er.data);
-          std::vector<std::uint64_t> scratch;
-          for (std::size_t v = 0; fib.deep_validate_ && v < n; ++v) {
-            const std::uint32_t* ro = fib.cowen_.row_off;
-            const std::uint32_t len = fib.cowen_.row_len[v];
-            scratch.assign(len, 0);
-            fib_eytzinger_from_sorted(fib.cowen_.rows + ro[v], len,
-                                      scratch.data());
-            for (std::uint32_t i = 0; i < len; ++i) {
-              if (eyt[ro[v] + i] != scratch[i]) {
-                fail("cowen: Eytzinger mirror disagrees with sorted rows");
+          if (fib.deep_validate_) {
+            check_nodes(n, [&](std::size_t v) -> const char* {
+              const std::uint32_t len = row_len[v];
+              std::uint32_t next = 0;
+              if (!eytzinger_matches(sorted + ro[v], eyt + ro[v], len, next,
+                                     0)) {
+                return "cowen: Eytzinger mirror disagrees with sorted rows";
               }
-            }
-            for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
-              if (eyt[i] != 0) fail("cowen: mirror slack is nonzero");
-            }
+              for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
+                if (eyt[i] != 0) return "cowen: mirror slack is nonzero";
+              }
+              return nullptr;
+            });
           }
           fib.cowen_.eyt = eyt;
         }
@@ -681,18 +806,23 @@ FlatFib& FlatFib::operator=(FlatFib&& other) noexcept {
   return *this;
 }
 
+std::uint64_t FlatFib::section_offset(std::uint32_t id) const {
+  for (const auto& s : sections_) {
+    if (s.id == id) return s.offset;
+  }
+  return 0;
+}
+
 std::uint8_t* FlatFib::section_ptr(std::uint32_t id) {
   if (!writable_ || mutable_base_ == nullptr) return nullptr;
-  for (const auto& s : sections_) {
-    if (s.id == id) return mutable_base_ + s.offset;
-  }
-  return nullptr;
+  const std::uint64_t offset = section_offset(id);
+  return offset == 0 ? nullptr : mutable_base_ + offset;
 }
 
 void FlatFib::refresh_checksum() const {
   if (!writable_ || mutable_base_ == nullptr) return;  // foreign read-only
-  const std::uint64_t sum = fib_payload_fnv1a(mutable_base_ + payload_begin_,
-                                              bytes_ - payload_begin_);
+  const std::uint64_t sum = fib_payload_checksum(
+      version_, mutable_base_ + payload_begin_, bytes_ - payload_begin_);
   std::memcpy(mutable_base_ + kChecksumOffset, &sum, 8);
   checksum_stale_ = false;
 }
@@ -926,14 +1056,12 @@ FlatFib FibBuilder::finish() {
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t roff = kNone, rlen = kNone, rows = kNone;
   bool have_eyt = false;
-  bool has_label_sections = false;
   for (std::size_t i = 0; i < sections_.size(); ++i) {
     const std::uint32_t id = sections_[i].id;
     if (id == fs::kCowenRowOff) roff = i;
     if (id == fs::kCowenRowLen) rlen = i;
     if (id == fs::kCowenRows) rows = i;
     if (id == fs::kCowenRowsEyt) have_eyt = true;
-    if (id == fs::kLabelMap || id == fs::kDictionary) has_label_sections = true;
   }
   // v3: kCowen (and kTz, which shares the row layout) arenas must carry
   // the Eytzinger mirror. Synthesize it from the sorted rows when the
@@ -988,36 +1116,48 @@ FlatFib FibBuilder::finish() {
   }
 
   // The mirror is built in place from the sorted rows already in the
-  // buffer, row by row, up to the first malformed CSR entry (the loader
-  // rejects such an arena below; its mirror stays zero from there on).
+  // buffer, rows split by node range over the pool, up to the first
+  // malformed CSR entry (the loader rejects such an arena below; its
+  // mirror stays zero from there on). The serial scan for that entry
+  // also makes the rows below it disjoint, so the fill tasks never share
+  // a slot.
   if (synth_eyt) {
     const std::uint8_t* off_at = base + offsets[roff];
     const std::uint8_t* len_at = base + offsets[rlen];
     const std::uint64_t* sorted = words.data() + offsets[rows] / 8;
     std::uint64_t* eyt = words.data() + offsets.back() / 8;
     const std::size_t slots = sections_[rows].bytes / 8;
-    for (std::size_t v = 0; v < node_count_; ++v) {
-      std::uint32_t lo, hi, len;
-      std::memcpy(&lo, off_at + 4 * v, 4);
+    const auto row = [&](std::size_t v, std::uint32_t* lo,
+                         std::uint32_t* len) {
+      std::uint32_t hi;
+      std::memcpy(lo, off_at + 4 * v, 4);
       std::memcpy(&hi, off_at + 4 * (v + 1), 4);
-      std::memcpy(&len, len_at + 4 * v, 4);
-      if (hi < lo || hi > slots || len > hi - lo) break;
-      fib_eytzinger_from_sorted(sorted + lo, len, eyt + lo);
+      std::memcpy(len, len_at + 4 * v, 4);
+      return hi >= *lo && hi <= slots && *len <= hi - *lo;
+    };
+    std::size_t well_formed = 0;
+    for (std::uint32_t lo = 0, len = 0;
+         well_formed < node_count_ && row(well_formed, &lo, &len);) {
+      ++well_formed;
     }
+    parallel_for_blocks(ThreadPool::global(), 0, well_formed, kNodeBlock,
+                        [&](std::size_t first, std::size_t last) {
+                          for (std::size_t v = first; v < last; ++v) {
+                            std::uint32_t lo, len;
+                            row(v, &lo, &len);
+                            fib_eytzinger_from_sorted(sorted + lo, len,
+                                                      eyt + lo);
+                          }
+                        });
   }
 
-  // Emit the lowest version that carries the arena's sections: only the
-  // label layer (kTz, or explicit label sections on a future kind) needs
-  // the v4 magic, so every pre-existing kind keeps serializing
-  // byte-identically to its pinned v3 goldens.
-  const bool v4 = kind_ == FibKind::kTz || has_label_sections;
   const auto put_u32 = [](std::uint8_t* at, std::uint32_t v) {
     std::memcpy(at, &v, 4);
   };
   const auto put_u64 = [](std::uint8_t* at, std::uint64_t v) {
     std::memcpy(at, &v, 8);
   };
-  std::memcpy(base, v4 ? kMagicV4 : kMagic, sizeof(kMagic));
+  std::memcpy(base, kMagic, sizeof(kMagic));
   put_u32(base + 8, static_cast<std::uint32_t>(kind_));
   put_u32(base + 12, static_cast<std::uint32_t>(node_count_));
   put_u32(base + 16, static_cast<std::uint32_t>(section_count));
@@ -1030,7 +1170,8 @@ FlatFib FibBuilder::finish() {
     put_u64(e + 16, sections_[mirror ? rows : i].bytes);
   }
   put_u64(base + kChecksumOffset,
-          fib_payload_fnv1a(base + payload_begin, total - payload_begin));
+          fib_payload_checksum(kFibBlobVersion, base + payload_begin,
+                               total - payload_begin));
   sections_.clear();
   return FlatFib::from_words(std::move(words));
 }

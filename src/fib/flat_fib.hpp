@@ -31,10 +31,10 @@
 // serve queries (fib/forward_engine.hpp).
 //
 // Validation is total: magic/version/kind, section directory bounds,
-// FNV-1a checksum over the payload, and structural checks (monotone
-// offset arrays, neighbor/port ranges), so truncated or corrupted blobs
-// are rejected with std::runtime_error instead of misrouting packets.
-// The checksum pass and the structural pass run side by side on the
+// a checksum over the payload, and structural checks (monotone offset
+// arrays, neighbor/port ranges), so truncated or corrupted blobs are
+// rejected with std::runtime_error instead of misrouting packets. The
+// checksum chunks and the structural pass run side by side on the
 // global ThreadPool; a checksum mismatch is reported in preference to
 // any structural error, as if the checksum had been verified first.
 //
@@ -79,10 +79,14 @@
 // arenas — Thorup–Zwick name-independent tables whose rows are keyed by
 // *scheme-assigned labels* while queries arrive on external *names*.
 // The walkers resolve a name through the dictionary once per query and
-// then forward on labels; every pre-v4 kind has no label sections and
-// keeps its identity name==label fast path untouched (and its blobs
-// byte-identical — finish() emits the lowest magic that carries the
-// arena's sections). v2 and v3 blobs still open and serve unchanged.
+// then forward on labels; every other kind has no label sections and
+// keeps its identity name==label fast path untouched.
+//
+// Blob format v5 ("CPRFIB05") changes only the payload checksum: v2–v4
+// use byte-serial FNV-1a, v5 a chunked four-lane word hash
+// (fib_payload_checksum) that the writer and the loader spread over the
+// global pool. finish() writes v5 for every kind; v2–v4 blobs still
+// open, serve and reseal in their own checksum.
 //
 // Cross-process patching (fib/patch_channel.hpp) lifts the same seqlock
 // across processes: from_shared opens an arena inside a MAP_SHARED
@@ -216,11 +220,32 @@ inline constexpr std::uint32_t kRowSearchLinearCutoff = 16;
 void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
                                std::uint32_t len, std::uint64_t* eyt);
 
-// FNV-1a over a blob's payload region: the checksum stored at header
-// offset 32. The loader verifies it, FibBuilder::finish and
-// refresh_checksum write it, and the patch-channel reader reseals
-// snapshot copies with it — one definition, so they cannot drift.
-std::uint64_t fib_payload_fnv1a(const std::uint8_t* data, std::size_t nbytes);
+// The blob version FibBuilder::finish writes.
+inline constexpr std::uint32_t kFibBlobVersion = 5;
+
+// The v5 payload checksum hashes fixed 1 MiB chunks independently, each
+// with four interleaved lanes of word-wise FNV-1a-64 (lane l takes words
+// 4k + l), then folds the lane results and the chunk digests in order
+// (docs/forwarding_plane.md). Every step is a bijection of the state and
+// injective in the word, so any change confined to one 8-byte word
+// changes the checksum. Format constants, not options.
+inline constexpr std::size_t kFibChecksumChunkBytes = std::size_t{1} << 20;
+inline constexpr std::size_t kFibChecksumLanes = 4;
+
+// The checksum stored at header offset 32 for a blob of `version`:
+// byte-serial FNV-1a for v2–v4, the chunked word hash for v5, its chunks
+// run on the global ThreadPool (the result does not depend on the thread
+// count). The loader verifies it and finish and refresh_checksum write
+// it — one definition, so they cannot drift.
+std::uint64_t fib_payload_checksum(std::uint32_t version,
+                                   const std::uint8_t* data,
+                                   std::size_t nbytes);
+
+// Rewrites the payload checksum of the serialized blob blob[0, bytes) in
+// the hash its magic names, treating everything past the directory as
+// payload — how the patch-channel reader reseals snapshot copies. False
+// (blob untouched) when the magic or section count is unusable.
+bool fib_reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes);
 
 // Seqlock-protected loads/stores of the mutable arena sections. The
 // patched slots (Cowen rows, row lengths, landmark labels) are written
@@ -404,10 +429,12 @@ class FlatFib {
   std::size_t byte_size() const { return bytes_; }
   // 2 for a legacy "CPRFIB02" blob (no Eytzinger mirror), 3 for
   // "CPRFIB03", 4 for "CPRFIB04" (label layer: kLabelMap/kDictionary
-  // sections; required for kTz). Writers emit the lowest version that
-  // carries the arena's sections, so label-free kinds keep producing
-  // byte-identical v3 blobs.
+  // sections; required for kTz), 5 for "CPRFIB05" (chunked word
+  // checksum), the version every fresh compile writes.
   std::uint32_t blob_version() const { return version_; }
+
+  // Blob-relative byte offset of section `id`, 0 when absent.
+  std::uint64_t section_offset(std::uint32_t id) const;
 
   const TopoView& topo() const { return topo_; }
   const TreeView& tree() const { return tree_; }
@@ -462,7 +489,7 @@ class FlatFib {
   bool writable_ = false;             // false: mmap'd/foreign, never patched
   std::size_t bytes_ = 0;             // meaningful prefix of the backing
   std::size_t payload_begin_ = 0;     // checksummed region [begin, bytes_)
-  std::uint32_t version_ = 3;         // blob format version (2, 3 or 4)
+  std::uint32_t version_ = kFibBlobVersion;  // blob format version (2–5)
   FibKind kind_ = FibKind::kTree;
   std::size_t node_count_ = 0;
   std::vector<SectionEntry> sections_;
@@ -490,10 +517,8 @@ class FlatFib {
 // validating loader — so every FlatFib in the process, freshly compiled
 // or reloaded, went through the same checks, checksum included.
 // Hand-assembled arenas (tests, tools) therefore cannot produce a v3+
-// blob with a missing or inconsistent mirror. finish() picks the magic
-// from the content: kTz (or any arena carrying label sections)
-// serializes as "CPRFIB04", everything else stays "CPRFIB03"
-// byte-for-byte.
+// blob with a missing or inconsistent mirror. Every kind serializes as
+// "CPRFIB05".
 class FibBuilder {
  public:
   FibBuilder(FibKind kind, std::size_t node_count);

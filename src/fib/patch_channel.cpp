@@ -36,65 +36,17 @@ void atomic_store_u64(std::uint8_t* p, std::uint64_t v) {
   fib_seq_store_u64(reinterpret_cast<std::uint64_t*>(p), v);
 }
 
-// Mirrors the FlatFib blob layout constants (flat_fib.cpp): 40-byte
-// header with the section count at +16 and the FNV checksum at +32,
-// 24-byte directory entries from +40, payload 64-byte aligned. The
-// layout is pinned byte-for-byte by tests/test_blob_layout.cpp, so
-// parsing it here cannot drift silently.
-constexpr std::size_t kBlobHeaderBytes = 40;
-constexpr std::size_t kBlobDirEntryBytes = 24;
-constexpr std::size_t kBlobChecksumOffset = 32;
-constexpr std::size_t kBlobSectionAlign = 64;
-
-// Re-seals the inner FNV payload checksum of a private blob copy: a
-// snapshot taken mid-churn carries patched rows but the pre-patch FNV
-// (flat_fib.hpp refreshes it lazily, never through the channel), so the
-// structural validation below would reject every patched snapshot on
-// the checksum alone. The segment's own position-weighted checksum has
-// already vouched for the copied bytes at this point.
-bool reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes) {
-  if (bytes < kBlobHeaderBytes) return false;
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count, blob + 16, 4);
-  if (section_count == 0 || section_count > 64) return false;
-  const std::size_t dir_end =
-      kBlobHeaderBytes + section_count * kBlobDirEntryBytes;
-  const std::size_t payload_begin =
-      (dir_end + kBlobSectionAlign - 1) / kBlobSectionAlign *
-      kBlobSectionAlign;
-  if (payload_begin > bytes) return false;
-  const std::uint64_t sum =
-      fib_payload_fnv1a(blob + payload_begin, bytes - payload_begin);
-  std::memcpy(blob + kBlobChecksumOffset, &sum, 8);
-  return true;
-}
-
-// Blob-relative byte offset of a directory section, 0 when absent.
-std::uint64_t blob_section_offset(const std::uint8_t* blob, std::size_t bytes,
-                                  std::uint32_t want_id) {
-  if (bytes < kBlobHeaderBytes) return 0;
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count, blob + 16, 4);
-  if (section_count > 64) return 0;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    const std::uint8_t* e = blob + kBlobHeaderBytes + s * kBlobDirEntryBytes;
-    if (kBlobHeaderBytes + (s + 1) * kBlobDirEntryBytes > bytes) return 0;
-    std::uint32_t id = 0;
-    std::uint64_t offset = 0;
-    std::memcpy(&id, e, 4);
-    std::memcpy(&offset, e + 8, 8);
-    if (id == want_id) return offset;
-  }
-  return 0;
-}
-
 // Validates a snapshot copy end to end: segment checksum already held,
-// now the blob itself — re-seal the FNV and run FlatFib's full
-// structural open against the private bytes.
+// now the blob itself. A snapshot taken mid-churn carries patched rows
+// but the pre-patch payload checksum (flat_fib.hpp refreshes it lazily,
+// never through the channel), so the copy is resealed in its own blob
+// version's hash before FlatFib's full structural open runs against the
+// private bytes; the segment's position-weighted checksum has already
+// vouched for the copied bytes at this point.
 bool validate_blob_copy(std::vector<std::uint64_t>& words,
                         std::size_t payload_bytes) {
   auto* bytes = reinterpret_cast<std::uint8_t*>(words.data());
-  if (!reseal_blob_checksum(bytes, payload_bytes)) return false;
+  if (!fib_reseal_blob_checksum(bytes, payload_bytes)) return false;
   try {
     FlatFib::from_memory(bytes, payload_bytes);
   } catch (const std::exception&) {
@@ -499,12 +451,7 @@ PatchChannelWriter::PatchChannelWriter(PatchChannelWriter&& other) noexcept
       map_bytes_(other.map_bytes_),
       arena_generation_(other.arena_generation_),
       fib_(std::move(other.fib_)),
-      takeover_(other.takeover_),
-      rows_off_(other.rows_off_),
-      eyt_off_(other.eyt_off_),
-      row_len_off_(other.row_len_off_),
-      landmark_off_(other.landmark_off_),
-      landmark_port_off_(other.landmark_port_off_) {
+      takeover_(other.takeover_) {
   other.lock_fd_ = -1;
   other.map_ = nullptr;
   other.map_bytes_ = 0;
@@ -527,11 +474,6 @@ PatchChannelWriter& PatchChannelWriter::operator=(
     arena_generation_ = other.arena_generation_;
     fib_ = std::move(other.fib_);
     takeover_ = other.takeover_;
-    rows_off_ = other.rows_off_;
-    eyt_off_ = other.eyt_off_;
-    row_len_off_ = other.row_len_off_;
-    landmark_off_ = other.landmark_off_;
-    landmark_port_off_ = other.landmark_port_off_;
     other.lock_fd_ = -1;
     other.map_ = nullptr;
     other.map_bytes_ = 0;
@@ -569,15 +511,6 @@ void PatchChannelWriter::attach_segment(std::uint64_t gen) {
   // Stamp ownership. flock already fences live writers; the header token
   // records who owns the bytes for audits and the crash-matrix asserts.
   atomic_store_u64(base + patch_segment::kWriterFence, fence_token_);
-  const std::uint8_t* blob = base + kPatchSegmentHeaderBytes;
-  namespace fsid = fib_section;
-  rows_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRows);
-  eyt_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRowsEyt);
-  row_len_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRowLen);
-  landmark_off_ =
-      blob_section_offset(blob, h.payload_bytes, fsid::kCowenLandmark);
-  landmark_port_off_ =
-      blob_section_offset(blob, h.payload_bytes, fsid::kCowenLandmarkPort);
   auto* seq_word = reinterpret_cast<std::uint64_t*>(base + patch_segment::kSeq);
   fib_ = FlatFib::from_shared(base + kPatchSegmentHeaderBytes, h.payload_bytes,
                               seq_word, /*writable=*/true);
@@ -637,6 +570,14 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
     const FibDelta& delta) const {
   namespace fsid = fib_section;
   const auto& cw = fib_.cowen();
+  // Blob-relative byte offsets of the patchable sections; the mirror's
+  // is 0 when the blob has none (v2).
+  const std::uint64_t rows_off = fib_.section_offset(fsid::kCowenRows);
+  const std::uint64_t eyt_off = fib_.section_offset(fsid::kCowenRowsEyt);
+  const std::uint64_t row_len_off = fib_.section_offset(fsid::kCowenRowLen);
+  const std::uint64_t landmark_off = fib_.section_offset(fsid::kCowenLandmark);
+  const std::uint64_t landmark_port_off =
+      fib_.section_offset(fsid::kCowenLandmarkPort);
   std::vector<std::size_t> words;
   for (const FibRowPatch& p : delta.patches) {
     switch (p.section) {
@@ -644,17 +585,17 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
         const std::size_t begin = cw.row_off[p.row];
         const std::size_t end = cw.row_off[p.row + 1];
         for (std::size_t i = begin; i < end; ++i) {
-          words.push_back(rows_off_ / 8 + i);
-          if (eyt_off_ != 0) words.push_back(eyt_off_ / 8 + i);
+          words.push_back(rows_off / 8 + i);
+          if (eyt_off != 0) words.push_back(eyt_off / 8 + i);
         }
-        words.push_back((row_len_off_ + 4 * std::size_t{p.row}) / 8);
+        words.push_back((row_len_off + 4 * std::size_t{p.row}) / 8);
         break;
       }
       case fsid::kCowenLandmark:
-        words.push_back((landmark_off_ + 4 * std::size_t{p.row}) / 8);
+        words.push_back((landmark_off + 4 * std::size_t{p.row}) / 8);
         break;
       case fsid::kCowenLandmarkPort:
-        words.push_back((landmark_port_off_ + 4 * std::size_t{p.row}) / 8);
+        words.push_back((landmark_port_off + 4 * std::size_t{p.row}) / 8);
         break;
       default:
         break;  // apply_delta will reject the delta wholesale

@@ -1,28 +1,32 @@
-// Golden-file pin of the on-disk "CPRFIB03" arena layout.
+// Golden-file pin of the on-disk "CPRFIB05" arena layout.
 //
 // ArenaStore publishes these blobs as files that *other processes* —
 // possibly running older or newer builds — mmap and serve, so the byte
 // layout is a wire format now, not an implementation detail. This test
-// builds a small hand-specified Cowen arena and compares it
-// byte-for-byte against tests/golden/cowen_small_v3.hex; it also spells
-// out the header field offsets, little-endian encoding, and 64-byte
-// section alignment as direct assertions, so a diff here tells the
-// reader exactly which layout promise broke. Any intentional change to
-// the format must bump the magic version and regenerate the golden file
-// (run with CPR_UPDATE_GOLDEN=1) — silently shifting bytes would make
-// every published arena in a fleet unreadable or, worse, misread.
+// builds a small hand-specified Cowen arena (and its kTz twin) and
+// compares it byte-for-byte against tests/golden/cowen_small_v5.hex
+// (tz_small_v5.hex); it also spells out the header field offsets,
+// little-endian encoding, and 64-byte section alignment as direct
+// assertions, so a diff here tells the reader exactly which layout
+// promise broke. Any intentional change to the format must bump the
+// magic version and regenerate the golden file (run with
+// CPR_UPDATE_GOLDEN=1) — silently shifting bytes would make every
+// published arena in a fleet unreadable or, worse, misread.
 //
-// tests/golden/cowen_small_v2.hex — the previous format's pin — stays
-// in the tree as the *backward-compat* artifact: a fleet rolls forward
-// with v2 blobs still on disk, so today's loader must keep opening and
-// serving yesterday's bytes (through the binary-search path; v2 has no
-// Eytzinger mirror).
+// The earlier formats' pins stay in the tree as *backward-compat*
+// artifacts: a fleet rolls forward with old blobs still on disk, so
+// today's loader must keep opening, serving and resealing yesterday's
+// bytes. cowen_small_v2.hex has no Eytzinger mirror (binary-search
+// path); cowen_small_v3.hex and cowen_small_v4.hex (the kTz arena)
+// carry FNV-1a payload checksums.
+#include "fib/fib_delta.hpp"
 #include "fib/flat_fib.hpp"
 #include "fib/forward_engine.hpp"
 #include "graph/graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -38,9 +42,13 @@ namespace {
 #endif
 
 const std::string kGoldenPath =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v3.hex";
+    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v5.hex";
+const std::string kGoldenTzPath =
+    std::string(CPR_GOLDEN_DIR) + "/tz_small_v5.hex";
 const std::string kGoldenV2Path =
     std::string(CPR_GOLDEN_DIR) + "/cowen_small_v2.hex";
+const std::string kGoldenV3Path =
+    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v3.hex";
 const std::string kGoldenV4Path =
     std::string(CPR_GOLDEN_DIR) + "/cowen_small_v4.hex";
 
@@ -153,48 +161,41 @@ T read_le(std::span<const std::uint8_t> blob, std::size_t offset) {
   return v;
 }
 
-TEST(BlobLayout, GoldenFileMatchesByteForByte) {
-  const FlatFib fib = build_golden_fib();
-  const auto blob = fib.blob();
-
-  if (std::getenv("CPR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenPath, std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << kGoldenPath;
-    out << to_hex(blob);
-    GTEST_SKIP() << "golden file regenerated at " << kGoldenPath;
-  }
-
-  std::ifstream in(kGoldenPath);
-  ASSERT_TRUE(in) << "missing golden file " << kGoldenPath
+// Bytes of a committed golden file; empty (with a test failure) when it
+// is missing.
+std::vector<std::uint8_t> read_golden(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << "missing golden file " << path
                   << " (generate with CPR_UPDATE_GOLDEN=1)";
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
-  const std::vector<std::uint8_t> golden = from_hex(text);
+  return from_hex(text);
+}
 
+// Pins `blob` byte for byte against the golden at `path`, or rewrites
+// the golden when CPR_UPDATE_GOLDEN is set.
+void expect_golden(std::span<const std::uint8_t> blob,
+                   const std::string& path) {
+  if (std::getenv("CPR_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::trunc);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << to_hex(blob);
+    GTEST_SKIP() << "golden file regenerated at " << path;
+  }
+  const std::vector<std::uint8_t> golden = read_golden(path);
   ASSERT_EQ(blob.size(), golden.size())
-      << "CPRFIB03 blob size changed — this is a wire-format break; bump "
+      << "CPRFIB05 blob size changed — this is a wire-format break; bump "
          "the version and regenerate the golden file deliberately";
   for (std::size_t i = 0; i < golden.size(); ++i) {
     ASSERT_EQ(blob[i], golden[i])
-        << "CPRFIB03 byte " << i << " changed — wire-format break; bump "
+        << "CPRFIB05 byte " << i << " changed — wire-format break; bump "
            "the version and regenerate the golden file deliberately";
   }
 }
 
-// Yesterday's wire format: the committed v2 golden (no Eytzinger
-// mirror) must keep opening under today's validator and serve the same
-// routes — fleets roll the binary forward without republishing arenas.
-TEST(BlobLayout, V2BlobStillOpensAndServes) {
-  std::ifstream in(kGoldenV2Path);
-  ASSERT_TRUE(in) << "missing v2 compat golden " << kGoldenV2Path;
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::vector<std::uint8_t> golden = from_hex(text);
-
-  const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
-  EXPECT_EQ(fib.blob_version(), 2u);
-  EXPECT_EQ(fib.kind(), FibKind::kCowen);
-  EXPECT_EQ(fib.cowen().eyt, nullptr);  // no mirror: binary-search path
+// The path graph delivers every query, 0 → 2 through the landmark at
+// node 1, on both dispatch paths.
+void expect_serves_path(const FlatFib& fib) {
   const std::vector<std::pair<NodeId, NodeId>> queries = {
       {0, 2}, {2, 0}, {0, 1}, {1, 0}};
   for (const FibDispatch mode : {FibDispatch::kScalar, FibDispatch::kSimd}) {
@@ -207,108 +208,164 @@ TEST(BlobLayout, V2BlobStillOpensAndServes) {
     }
     const auto p = out.path(0);
     ASSERT_EQ(p.size(), 3u);
+    EXPECT_EQ(p[0], 0u);
     EXPECT_EQ(p[1], 1u);
+    EXPECT_EQ(p[2], 2u);
   }
 }
 
-TEST(BlobLayout, GoldenBytesReopenAndServe) {
-  std::ifstream in(kGoldenPath);
-  if (!in) GTEST_SKIP() << "golden file not generated yet";
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::vector<std::uint8_t> golden = from_hex(text);
+std::string open_error(const std::vector<std::uint8_t>& bytes) {
+  try {
+    FlatFib::from_blob(bytes);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
-  // Yesterday's bytes must open under today's validator and route: the
-  // path graph delivers 0 -> 2 through the landmark at 1.
+TEST(BlobLayout, GoldenFileMatchesByteForByte) {
+  expect_golden(build_golden_fib().blob(), kGoldenPath);
+}
+
+// Yesterday's wire format: the committed v2 golden (no Eytzinger
+// mirror) must keep opening under today's validator and serve the same
+// routes — fleets roll the binary forward without republishing arenas.
+TEST(BlobLayout, V2BlobStillOpensAndServes) {
+  const std::vector<std::uint8_t> golden = read_golden(kGoldenV2Path);
   const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
+  EXPECT_EQ(fib.blob_version(), 2u);
   EXPECT_EQ(fib.kind(), FibKind::kCowen);
-  EXPECT_EQ(fib.node_count(), 3u);
-  const std::vector<std::pair<NodeId, NodeId>> queries = {
-      {0, 2}, {2, 0}, {0, 1}, {1, 0}};
-  const FibBatchOutput out = forward_batch(fib, queries);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_TRUE(out.results[i].delivered) << "query " << i;
-  }
-  const auto p = out.path(0);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_EQ(p[0], 0u);
-  EXPECT_EQ(p[1], 1u);
-  EXPECT_EQ(p[2], 2u);
+  EXPECT_EQ(fib.cowen().eyt, nullptr);  // no mirror: binary-search path
+  expect_serves_path(fib);
 }
 
-// The v4 pin: same update discipline as the v3 golden. A kTz arena is
-// the first (and so far only) content that emits the CPRFIB04 magic —
-// arenas without label sections must keep serializing byte-identical v3
-// (which the v3 golden above enforces).
+// The committed Cowen goldens — today's v5 and the FNV-1a v3 compat pin
+// — open under today's validator, report their own version and route.
+TEST(BlobLayout, GoldenBytesReopenAndServe) {
+  for (const auto& [path, version] :
+       {std::pair{kGoldenPath, 5u}, std::pair{kGoldenV3Path, 3u}}) {
+    SCOPED_TRACE(path);
+    const std::vector<std::uint8_t> golden = read_golden(path);
+    const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
+    EXPECT_EQ(fib.blob_version(), version);
+    EXPECT_EQ(fib.kind(), FibKind::kCowen);
+    EXPECT_EQ(fib.node_count(), 3u);
+    EXPECT_NE(fib.cowen().eyt, nullptr);
+    expect_serves_path(fib);
+  }
+}
+
+// The v4 compat pin: a kTz arena sealed with FNV-1a keeps opening and
+// serving names through its dictionary.
+TEST(BlobLayout, V4TzBlobStillOpensAndServes) {
+  const std::vector<std::uint8_t> golden = read_golden(kGoldenV4Path);
+  const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
+  EXPECT_EQ(fib.blob_version(), 4u);
+  EXPECT_EQ(fib.kind(), FibKind::kTz);
+  expect_serves_path(fib);
+}
+
+// v5 changed the checksum and nothing else: today's blob, stamped back
+// to the compat magic and resealed (which picks FNV-1a from the magic),
+// is the committed v3 / v4 golden byte for byte.
+TEST(BlobLayout, V5DiffersFromCompatGoldensOnlyInMagicAndChecksum) {
+  const struct {
+    FlatFib fib;
+    std::string compat_path;
+    char digit;
+  } cases[] = {{build_golden_fib(), kGoldenV3Path, '3'},
+               {build_golden_tz_fib(), kGoldenV4Path, '4'}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.compat_path);
+    const auto blob = c.fib.blob();
+    const std::vector<std::uint8_t> golden = read_golden(c.compat_path);
+    ASSERT_EQ(blob.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+      const bool may_differ = i == 7 || (i >= 32 && i < 40);
+      if (!may_differ) {
+        ASSERT_EQ(blob[i], golden[i]) << "byte " << i;
+      }
+    }
+    std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
+    bytes[7] = static_cast<std::uint8_t>(c.digit);
+    ASSERT_TRUE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
+    EXPECT_EQ(bytes, golden);
+  }
+}
+
+// The guard against resealing an old blob in the new hash: every compat
+// golden, loaded writable and patched, must dump a blob that reopens as
+// its own version — refresh_checksum picks the hash from the blob, not
+// from what finish() writes today.
+TEST(BlobLayout, CompatGoldensResealInTheirOwnVersion) {
+  for (const auto& [path, version] :
+       {std::pair{kGoldenV2Path, 2u}, std::pair{kGoldenV3Path, 3u},
+        std::pair{kGoldenV4Path, 4u}}) {
+    SCOPED_TRACE(path);
+    const std::vector<std::uint8_t> golden = read_golden(path);
+    FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
+    ASSERT_EQ(fib.blob_version(), version);
+    ASSERT_TRUE(fib.writable());
+    // Row 0 holds one entry toward key k; add a second toward k + 1 on
+    // the same port (keys are node ids for kCowen, labels for kTz).
+    const std::uint64_t first = fib.cowen().rows[fib.cowen().row_off[0]];
+    ASSERT_EQ(fib.cowen().row_len[0], 1u);
+    FibDelta delta;
+    const std::uint64_t row[2] = {
+        first, fib_pack_entry(fib_entry_key(first) + 1, fib_entry_port(first))};
+    const auto* row_bytes = reinterpret_cast<const std::uint8_t*>(row);
+    delta.patches.push_back(
+        {fib_section::kCowenRows, 0, {row_bytes, row_bytes + sizeof(row)}});
+    ASSERT_TRUE(fib.apply_delta(delta));
+
+    const auto blob = fib.blob();
+    EXPECT_EQ(std::memcmp(blob.data(), golden.data(), 8), 0) << "magic moved";
+    EXPECT_NE(read_le<std::uint64_t>(blob, 32),
+              read_le<std::uint64_t>(golden, 32))
+        << "the patch changed the payload, so the checksum must move";
+    const FlatFib reopened = FlatFib::from_blob(blob);
+    EXPECT_EQ(reopened.blob_version(), version);
+    EXPECT_EQ(reopened.cowen().row_len[0], 2u);
+    EXPECT_TRUE(std::equal(blob.begin(), blob.end(),
+                           reopened.blob().begin(), reopened.blob().end()));
+  }
+}
+
+// The v5 kTz pin: same update discipline as the Cowen golden.
 TEST(BlobLayout, TzGoldenFileMatchesByteForByte) {
-  const FlatFib fib = build_golden_tz_fib();
-  const auto blob = fib.blob();
-
-  if (std::getenv("CPR_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(kGoldenV4Path, std::ios::trunc);
-    ASSERT_TRUE(out) << "cannot write " << kGoldenV4Path;
-    out << to_hex(blob);
-    GTEST_SKIP() << "golden file regenerated at " << kGoldenV4Path;
-  }
-
-  std::ifstream in(kGoldenV4Path);
-  ASSERT_TRUE(in) << "missing golden file " << kGoldenV4Path
-                  << " (generate with CPR_UPDATE_GOLDEN=1)";
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::vector<std::uint8_t> golden = from_hex(text);
-
-  ASSERT_EQ(blob.size(), golden.size())
-      << "CPRFIB04 blob size changed — wire-format break; bump the "
-         "version and regenerate the golden file deliberately";
-  for (std::size_t i = 0; i < golden.size(); ++i) {
-    ASSERT_EQ(blob[i], golden[i])
-        << "CPRFIB04 byte " << i << " changed — wire-format break; bump "
-           "the version and regenerate the golden file deliberately";
-  }
+  expect_golden(build_golden_tz_fib().blob(), kGoldenTzPath);
 }
 
-// v4 header + directory shape, and the name-addressed routes: names
+// v5 kTz header + directory shape, and the name-addressed routes: names
 // resolve through the dictionary, forwarding runs in label space, and
 // the path graph still delivers 0 → 2 through the landmark at node 1.
 TEST(BlobLayout, TzGoldenBytesReopenAndServe) {
   const FlatFib fib = build_golden_tz_fib();
   const auto blob = fib.blob();
   ASSERT_GE(blob.size(), 40u);
-  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB04", 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB05", 8), 0);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 8), 6u);  // kind = kTz
   // 3 topology + 5 cowen + label map + dictionary + synthesized mirror.
   EXPECT_EQ(read_le<std::uint32_t>(blob, 16), 11u);
 
   const FlatFib reopened = FlatFib::from_blob({blob.data(), blob.size()});
-  EXPECT_EQ(reopened.blob_version(), 4u);
+  EXPECT_EQ(reopened.blob_version(), 5u);
   EXPECT_EQ(reopened.kind(), FibKind::kTz);
-  const std::vector<std::pair<NodeId, NodeId>> queries = {
-      {0, 2}, {2, 0}, {0, 1}, {1, 0}};
-  for (const FibDispatch mode : {FibDispatch::kScalar, FibDispatch::kSimd}) {
-    FibBatchOptions opt;
-    opt.dispatch = mode;
-    const FibBatchOutput out = forward_batch(reopened, queries, opt);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_TRUE(out.results[i].delivered)
-          << "query " << i << " dispatch " << static_cast<int>(mode);
-    }
-    const auto p = out.path(0);
-    ASSERT_EQ(p.size(), 3u);
-    EXPECT_EQ(p[1], 1u);
-  }
+  expect_serves_path(reopened);
 }
 
 // A kTz kind stamped into a pre-v4 container must be rejected: the label
 // sections it depends on cannot exist there, and an old reader's "unknown
 // kind" failure is exactly what the version gate reproduces forward.
 TEST(BlobLayout, TzKindInV3ContainerIsRejected) {
-  const FlatFib fib = build_golden_fib();  // a v3 Cowen arena
+  const FlatFib fib = build_golden_fib();
   const auto blob = fib.blob();
   std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
+  bytes[7] = '3';  // a v3 container
   std::uint32_t kind = 6;  // kTz
   std::memcpy(bytes.data() + 8, &kind, 4);
-  EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
+  EXPECT_EQ(open_error(bytes),
+            "FlatFib: tz arenas require blob version 4 or later");
 }
 
 // The layout promises, stated as offsets — the documentation of record
@@ -321,7 +378,7 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
   // reserved u32 | payload_bytes u64 | checksum u64 — 40 bytes, all
   // little-endian.
   ASSERT_GE(blob.size(), 40u);
-  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB03", 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB05", 8), 0);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 8), 3u);   // kind = kCowen
   EXPECT_EQ(read_le<std::uint32_t>(blob, 12), 3u);  // node_count
   const std::uint32_t sections = read_le<std::uint32_t>(blob, 16);

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -218,7 +219,8 @@ void expect_every_byte_flip_rejected(const FlatFib& fib) {
   const std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
   // Every byte of the blob is guarded: header and directory fields by
   // explicit validation, padding by the all-zeros checks, sections by the
-  // FNV checksum. Flip one bit per byte position and expect a loud throw.
+  // payload checksum. Flip one bit per byte position and expect a loud
+  // throw.
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
     std::vector<std::uint8_t> corrupt = bytes;
     corrupt[pos] ^= 0x20;
@@ -231,12 +233,12 @@ TEST(FibBlob, EveryByteFlipIsRejected) {
   expect_every_byte_flip_rejected(sample_fib());
 }
 
-// The v4 sections (label map, dictionary) are covered by the same FNV
-// checksum and the same structural validation as everything else; a v4
-// blob must reject every single-byte flip just like a v3 one.
+// The label sections (label map, dictionary) are covered by the same
+// checksum and the same structural validation as everything else; a TZ
+// blob must reject every single-byte flip just like a Cowen one.
 TEST(FibBlob, TzEveryByteFlipIsRejected) {
   const FlatFib fib = sample_tz_fib();
-  ASSERT_EQ(fib.blob_version(), 4u);
+  ASSERT_EQ(fib.blob_version(), 5u);
   expect_every_byte_flip_rejected(fib);
 }
 
@@ -334,9 +336,9 @@ TEST(FibAssembly, MovedAndCopiedSectionsGiveIdenticalBlobs) {
     EXPECT_EQ(blob_bytes(reassemble(*fib, inst.g, /*move_in=*/false)),
               compiled);
   }
-  // The slack profile really changed the layout, and TZ is a v4 blob.
+  // The slack profile really changed the layout, and TZ is a v5 blob.
   EXPECT_NE(inst.cowen.byte_size(), inst.cowen_slack.byte_size());
-  EXPECT_EQ(inst.tz.blob_version(), 4u);
+  EXPECT_EQ(inst.tz.blob_version(), 5u);
 }
 
 std::string open_error(const std::vector<std::uint8_t>& bytes) {
@@ -350,12 +352,7 @@ std::string open_error(const std::vector<std::uint8_t>& bytes) {
 
 // Rewrites the payload checksum so only the structural checks judge.
 void reseal(std::vector<std::uint8_t>& bytes) {
-  std::uint32_t sections = 0;
-  std::memcpy(&sections, bytes.data() + 16, 4);
-  const std::size_t payload_begin = (40 + sections * 24 + 63) / 64 * 64;
-  const std::uint64_t sum = fib_payload_fnv1a(
-      bytes.data() + payload_begin, bytes.size() - payload_begin);
-  std::memcpy(bytes.data() + 32, &sum, 8);
+  ASSERT_TRUE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
 }
 
 std::size_t blob_offset(const FlatFib& fib, const void* p) {
@@ -389,6 +386,34 @@ TEST(FibAssembly, MalformedCsrPassesFinishAndFailsTheLoader) {
   }
 }
 
+// The loader checks Cowen rows in node blocks on the pool; with faults
+// in the first and the last block, the error is still the one a serial
+// scan meets first, whichever block finishes first.
+TEST(FibAssembly, RowCheckReportsTheLowestFailingNode) {
+  constexpr std::uint32_t kNodes = 5000;  // several check blocks
+  Graph g(kNodes);
+  FibBuilder b(FibKind::kCowen, kNodes);
+  b.add_topology(g);
+  std::vector<std::uint32_t> row_off(kNodes + 1);
+  for (std::uint32_t v = 0; v <= kNodes; ++v) row_off[v] = v;  // capacity 1
+  std::vector<std::uint32_t> row_len(kNodes, 1);
+  std::vector<std::uint64_t> rows(kNodes, fib_pack_entry(1, 0));
+  row_len[0] = 0;           // node 0: its one slot becomes nonzero slack
+  row_len[kNodes - 1] = 2;  // last node: length past its capacity
+  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
+  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
+  b.add_array(fib_section::kCowenRows, std::move(rows));
+  b.add_array(fib_section::kCowenLandmark, std::vector<std::uint32_t>(kNodes));
+  b.add_array(fib_section::kCowenLandmarkPort,
+              std::vector<std::uint32_t>(kNodes, kInvalidPort));
+  try {
+    b.finish();
+    ADD_FAILURE() << "malformed rows were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "FlatFib: cowen: row slack is nonzero");
+  }
+}
+
 TEST(FibAssembly, PayloadFlipFailsTheChecksum) {
   const FlatFib fib = sample_fib();
   auto bytes = blob_bytes(fib);
@@ -409,6 +434,136 @@ TEST(FibAssembly, BlobCorruptBothWaysIsRejected) {
   EXPECT_EQ(open_error(bytes), "FlatFib: checksum mismatch");
   reseal(bytes);
   EXPECT_EQ(open_error(bytes), "FlatFib: cowen rows: offsets mismatch payload");
+}
+
+// ---- The v5 payload checksum ----
+//
+// The reference below is written straight from the format definition
+// (docs/forwarding_plane.md): serial, byte-addressed, no pool. The
+// pooled implementation must agree with it, whatever the thread count —
+// the suite runs again under a one-worker global pool (tests/CMakeLists
+// .txt), so both runs pin the same values.
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+std::uint64_t reference_fnv1a(const std::vector<std::uint8_t>& p) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint8_t b : p) h = (h ^ b) * kFnvPrime;
+  return h;
+}
+
+std::uint64_t reference_v5(const std::vector<std::uint8_t>& p) {
+  const auto step = [](std::uint64_t h, std::uint64_t w) {
+    return (h ^ w) * kFnvPrime;
+  };
+  std::uint64_t total = kFnvBasis;
+  for (std::size_t at = 0; at < p.size(); at += kFibChecksumChunkBytes) {
+    const std::size_t end = std::min(p.size(), at + kFibChecksumChunkBytes);
+    std::uint64_t lane[4];
+    for (std::uint64_t l = 0; l < 4; ++l) {
+      lane[l] = kFnvBasis + l * 0x9e3779b97f4a7c15ull;
+    }
+    for (std::size_t i = at, k = 0; i < end; i += 8, ++k) {
+      std::uint64_t w = 0;  // a trailing partial word is zero-padded
+      std::memcpy(&w, p.data() + i, std::min<std::size_t>(8, end - i));
+      lane[k % 4] = step(lane[k % 4], w);
+    }
+    std::uint64_t digest = kFnvBasis;
+    for (const std::uint64_t h : lane) digest = step(digest, h);
+    total = step(total, digest);
+  }
+  return total;
+}
+
+std::vector<std::uint8_t> pattern_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::uint8_t> out(n);
+  std::uint64_t x = seed;
+  for (auto& b : out) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<std::uint8_t>(x >> 56);
+  }
+  return out;
+}
+
+TEST(FibChecksum, MatchesTheFormatDefinition) {
+  constexpr std::size_t kChunk = kFibChecksumChunkBytes;
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{8}, std::size_t{13}, std::size_t{40},
+        kChunk - 8, kChunk, kChunk + 8, 2 * kChunk + 43, 3 * kChunk - 8}) {
+    SCOPED_TRACE(n);
+    const auto bytes = pattern_bytes(n, n + 1);
+    EXPECT_EQ(fib_payload_checksum(5, bytes.data(), n), reference_v5(bytes));
+    for (const std::uint32_t version : {2u, 3u, 4u}) {
+      EXPECT_EQ(fib_payload_checksum(version, bytes.data(), n),
+                reference_fnv1a(bytes))
+          << "version " << version;
+    }
+  }
+}
+
+// Every step of the hash is a bijection of its state and injective in
+// its word, so no change confined to one word can cancel out — here for
+// every bit of 64 words (16 per lane) and a zero-padded tail word.
+TEST(FibChecksum, EveryOneBitChangeChangesIt) {
+  auto bytes = pattern_bytes(8 * 64 + 5, 7);
+  const std::uint64_t clean = fib_payload_checksum(5, bytes.data(), bytes.size());
+  for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_NE(fib_payload_checksum(5, bytes.data(), bytes.size()), clean)
+        << "bit " << bit;
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+  }
+}
+
+// A two-node Cowen arena plus a 3 MiB section no structural check reads,
+// so its payload spans four checksum chunks.
+FlatFib multi_chunk_fib() {
+  Graph g(2);
+  g.add_edge(0, 1);
+  FibBuilder b(FibKind::kCowen, 2);
+  b.add_topology(g);
+  b.add_array(fib_section::kCowenRowOff, std::vector<std::uint32_t>{0, 1, 2});
+  b.add_array(fib_section::kCowenRowLen, std::vector<std::uint32_t>{1, 1});
+  b.add_array(fib_section::kCowenRows,
+              std::vector<std::uint64_t>{fib_pack_entry(1, 0),
+                                         fib_pack_entry(0, 0)});
+  b.add_array(fib_section::kCowenLandmark, std::vector<std::uint32_t>{0, 0});
+  b.add_array(fib_section::kCowenLandmarkPort,
+              std::vector<std::uint32_t>{kInvalidPort, 0});
+  b.add_array(99, pattern_bytes(3 * kFibChecksumChunkBytes + 1000, 99));
+  return b.finish();
+}
+
+TEST(FibChecksum, OneBitFlipAtEveryChunkEdgeAndLaneIsRejected) {
+  const FlatFib fib = multi_chunk_fib();
+  ASSERT_EQ(fib.blob_version(), 5u);
+  const auto clean = blob_bytes(fib);
+  std::uint64_t payload_bytes = 0;
+  std::memcpy(&payload_bytes, clean.data() + 24, 8);
+  const std::size_t begin = clean.size() - payload_bytes;
+  const std::size_t chunks =
+      (payload_bytes + kFibChecksumChunkBytes - 1) / kFibChecksumChunkBytes;
+  ASSERT_GT(chunks, 2u);
+  EXPECT_EQ(open_error(clean), "");
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lo = begin + c * kFibChecksumChunkBytes;
+    const std::size_t hi =
+        std::min(clean.size(), lo + kFibChecksumChunkBytes);
+    // The first word of every lane, and the chunk's last word.
+    std::vector<std::size_t> words = {hi - 8};
+    for (std::size_t l = 0; l < kFibChecksumLanes; ++l) {
+      words.push_back(lo + 8 * l);
+    }
+    for (const std::size_t w : words) {
+      for (const std::size_t bit : {0, 63}) {
+        auto bytes = clean;
+        bytes[w + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        EXPECT_EQ(open_error(bytes), "FlatFib: checksum mismatch")
+            << "chunk " << c << ", byte " << w << ", bit " << bit;
+      }
+    }
+  }
 }
 
 // ---- Degenerate graphs ----

@@ -327,9 +327,6 @@ TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
   // offset u64, bytes u64.
   std::uint32_t section_count = 0;
   std::memcpy(&section_count, bytes.data() + 16, 4);
-  std::uint64_t payload_bytes = 0;
-  std::memcpy(&payload_bytes, bytes.data() + 24, 8);
-  const std::size_t payload_begin = bytes.size() - payload_bytes;
 
   std::uint64_t eyt_off = 0, eyt_bytes = 0;
   for (std::uint32_t s = 0; s < section_count; ++s) {
@@ -358,12 +355,7 @@ TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
   std::swap(eyt[at], eyt[at + 1]);
 
   // Re-seal the checksum so only the mirror check can object.
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = payload_begin; i < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  std::memcpy(bytes.data() + 32, &h, 8);
+  ASSERT_TRUE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
 
   EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
 }
@@ -371,7 +363,7 @@ TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
 // ---- Label layer validation (v4 byte surgery) ----
 //
 // Like the mirror test above, these corrupt a *semantic* invariant and
-// re-seal the FNV checksum, so only the deep validators can object: a
+// re-seal the payload checksum, so only the deep validators can object: a
 // label map that silently stopped being a permutation, or a dictionary
 // slot that disagrees with it, would misdeliver every packet whose name
 // resolves through the broken entry — to a plausible-looking wrong node.
@@ -399,15 +391,7 @@ SectionSpan locate_section(const std::vector<std::uint8_t>& bytes,
 }
 
 void reseal_checksum(std::vector<std::uint8_t>& bytes) {
-  std::uint64_t payload_bytes = 0;
-  std::memcpy(&payload_bytes, bytes.data() + 24, 8);
-  const std::size_t payload_begin = bytes.size() - payload_bytes;
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = payload_begin; i < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  std::memcpy(bytes.data() + 32, &h, 8);
+  ASSERT_TRUE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
 }
 
 std::vector<std::uint8_t> tz_blob_bytes() {

@@ -141,7 +141,11 @@ T read_le(std::span<const std::uint8_t> bytes, std::size_t offset) {
 #error "CPR_GOLDEN_DIR must point at tests/golden"
 #endif
 
+// The CPRPCH01 segment of today's (CPRFIB05) golden arena; the
+// CPRFIB03-carrying segment is kept as a compat fixture.
 const std::string kGoldenPath =
+    std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1_fib05.hex";
+const std::string kGoldenFib03Path =
     std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1.hex";
 
 // The golden arena of test_blob_layout.cpp: a 3-node path 0-1-2 with
@@ -232,6 +236,55 @@ TEST(PatchSegmentWire, GoldenFileMatchesByteForByte) {
         << "CPRPCH01 byte " << i << " changed — wire-format break; bump "
            "the version and regenerate the golden file deliberately";
   }
+}
+
+// A segment published by a build that wrote CPRFIB03 blobs: the snapshot
+// must accept it, and a patched copy must reseal in the blob's own
+// FNV-1a (not today's hash) before the structural open — what every
+// reader and standby does on adoption.
+TEST(PatchSegmentWire, Fib03CarryingGoldenStillSnapshotsAndOpens) {
+  std::ifstream in(kGoldenFib03Path);
+  ASSERT_TRUE(in) << "missing compat golden " << kGoldenFib03Path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::vector<std::uint8_t> golden = from_hex(text);
+  ASSERT_EQ(golden.size() % 8, 0u);
+  std::vector<std::uint64_t> segment(golden.size() / 8);
+  std::memcpy(segment.data(), golden.data(), golden.size());
+  auto* seg = reinterpret_cast<std::uint8_t*>(segment.data());
+
+  PatchSegmentHeader h;
+  auto copy = patch_channel_snapshot(seg, golden.size(), 1, &h);
+  ASSERT_FALSE(copy.empty()) << "the sealed compat segment must snapshot";
+  auto* blob = reinterpret_cast<std::uint8_t*>(copy.data());
+  ASSERT_EQ(std::memcmp(blob, "CPRFIB03", 8), 0);
+  ASSERT_TRUE(fib_reseal_blob_checksum(blob, h.payload_bytes));
+  const FlatFib fib = FlatFib::from_memory(blob, h.payload_bytes);
+  EXPECT_EQ(fib.blob_version(), 3u);
+  const std::vector<std::pair<NodeId, NodeId>> queries = {{0, 2}, {2, 0}};
+  const FibBatchOutput out = forward_batch(fib, queries);
+  EXPECT_TRUE(out.results[0].delivered);
+  EXPECT_TRUE(out.results[1].delivered);
+
+  // Patch one landmark port in place, as a writer would, and vouch for
+  // it in the segment checksum only: the inner FNV-1a is now stale.
+  std::uint8_t* inner = seg + kPatchSegmentHeaderBytes;
+  const std::uint64_t lmp = fib.section_offset(fib_section::kCowenLandmarkPort);
+  ASSERT_NE(lmp, 0u);
+  inner[lmp] ^= 0x01;
+  const std::uint64_t sum = patch_channel_checksum(
+      reinterpret_cast<const std::uint64_t*>(inner), h.payload_bytes / 8);
+  std::memcpy(seg + patch_segment::kChecksum, &sum, 8);
+  auto patched_copy = patch_channel_snapshot(seg, golden.size(), 1, &h);
+  ASSERT_FALSE(patched_copy.empty());
+  auto* patched_blob = reinterpret_cast<std::uint8_t*>(patched_copy.data());
+  EXPECT_THROW(FlatFib::from_memory(patched_blob, h.payload_bytes),
+               std::runtime_error)
+      << "the patched copy carries a stale payload checksum";
+  ASSERT_TRUE(fib_reseal_blob_checksum(patched_blob, h.payload_bytes));
+  const FlatFib patched = FlatFib::from_memory(patched_blob, h.payload_bytes);
+  EXPECT_EQ(patched.blob_version(), 3u);
+  EXPECT_NE(patched.cowen().landmark_port[0], fib.cowen().landmark_port[0]);
 }
 
 // The layout promises, stated as offsets — the documentation of record
