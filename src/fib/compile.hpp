@@ -32,7 +32,9 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
+#include <vector>
 
 namespace cpr {
 
@@ -59,11 +61,58 @@ FlatFib compile_fib(const DestinationTableScheme& scheme, const Graph& g);
 // undirected view its ports are expressed in.
 FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow);
 
+namespace detail {
+
+// The ball-row sections both landmark adapters emit from `row(u)` (a
+// sorted (key, port) range): row_off is the capacity CSR (live length +
+// reserved slack per row), and the live lengths travel separately so
+// apply_delta can grow or shrink a row inside its capacity without
+// relayout. Slack stays zeroed.
+template <typename RowOf>
+void add_ball_rows(FibBuilder& b, std::size_t n, const FibCompileOptions& opt,
+                   const RowOf& row) {
+  std::vector<std::uint32_t> row_off(n + 1, 0);
+  std::vector<std::uint32_t> row_len(n, 0);
+  for (NodeId u = 0; u < n; ++u) {
+    const auto len = static_cast<std::uint32_t>(row(u).size());
+    row_len[u] = len;
+    const auto slack =
+        opt.row_slack_min +
+        static_cast<std::uint32_t>(opt.row_slack_frac * len);
+    row_off[u + 1] = row_off[u] + len + slack;
+  }
+  std::vector<std::uint64_t> rows(row_off[n], 0);
+  for (NodeId u = 0; u < n; ++u) {
+    std::size_t at = row_off[u];
+    for (const auto& [key, port] : row(u)) {
+      rows[at++] = fib_pack_entry(key, port);
+    }
+  }
+  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
+  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
+  b.add_array(fib_section::kCowenRows, std::move(rows));
+}
+
+// The v6 landmark columns: the scheme's n × |L| port matrix, copied once
+// straight into the blob, and the key → rank map. A stats-only scheme
+// (CowenOptions::materialize_tables = false) has no matrix, and the
+// loader rejects its arena.
+inline void add_landmark_columns(FibBuilder& b, const std::vector<Port>& ports,
+                                 std::vector<std::uint32_t> rank) {
+  b.add_borrowed(fib_section::kCowenLandmarkCols, std::span(ports));
+  b.add_array(fib_section::kCowenLandmarkRank, std::move(rank));
+}
+
+}  // namespace detail
+
 // Cowen-shaped schemes: anything exposing the landmark-scheme surface
-// (sorted flat (target, port) tables plus the landmark label fields).
+// (sorted flat (target, port) ball rows, the landmark port matrix and
+// ranks, plus the landmark label fields).
 template <typename S>
   requires requires(const S& s, NodeId v) {
-    { s.table(v).size() } -> std::convertible_to<std::size_t>;
+    { s.ball_table(v).size() } -> std::convertible_to<std::size_t>;
+    { s.landmark_rank(v) } -> std::convertible_to<std::uint32_t>;
+    { s.landmark_ports() } -> std::convertible_to<const std::vector<Port>&>;
     { s.landmark_of(v) } -> std::convertible_to<NodeId>;
     { s.port_at_landmark(v) } -> std::convertible_to<Port>;
   }
@@ -72,36 +121,19 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
   const std::size_t n = g.node_count();
   FibBuilder b(FibKind::kCowen, n);
   b.add_topology(g);
-  // row_off is the capacity CSR (live length + reserved slack per row);
-  // the live lengths travel separately so apply_delta can grow or shrink
-  // a row inside its capacity without relayout.
-  std::vector<std::uint32_t> row_off(n + 1, 0);
-  std::vector<std::uint32_t> row_len(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const auto len = static_cast<std::uint32_t>(scheme.table(u).size());
-    row_len[u] = len;
-    const auto slack =
-        opt.row_slack_min +
-        static_cast<std::uint32_t>(opt.row_slack_frac * len);
-    row_off[u + 1] = row_off[u] + len + slack;
-  }
-  std::vector<std::uint64_t> rows(row_off[n], 0);  // slack stays zeroed
-  for (NodeId u = 0; u < n; ++u) {
-    std::size_t at = row_off[u];
-    for (const auto& [target, port] : scheme.table(u)) {
-      rows[at++] = fib_pack_entry(target, port);
-    }
-  }
-  std::vector<std::uint32_t> landmark(n), landmark_port(n);
+  detail::add_ball_rows(b, n, opt,
+                        [&](NodeId u) -> decltype(auto) {
+                          return scheme.ball_table(u);
+                        });
+  std::vector<std::uint32_t> landmark(n), landmark_port(n), rank(n);
   for (NodeId v = 0; v < n; ++v) {
     landmark[v] = scheme.landmark_of(v);
     landmark_port[v] = scheme.port_at_landmark(v);
+    rank[v] = scheme.landmark_rank(v);
   }
-  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
-  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
-  b.add_array(fib_section::kCowenRows, std::move(rows));
   b.add_array(fib_section::kCowenLandmark, std::move(landmark));
   b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
+  detail::add_landmark_columns(b, scheme.landmark_ports(), std::move(rank));
   // The v3 Eytzinger mirror (kCowenRowsEyt) is synthesized by finish()
   // from the sorted rows — one code path for compiles, patches and
   // hand-assembled arenas keeps every v3 blob byte-identical.
@@ -115,51 +147,38 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
 // ambiguous and the label layer could be silently flattened away.
 //
 // The emitted arena is FibKind::kTz: the Cowen row/landmark sections
-// reused with label-space semantics (row entries keyed by target label;
-// kCowenLandmark/kCowenLandmarkPort indexed *by label*), plus the two
-// label sections — kLabelMap (node → label permutation) and kDictionary
-// (the bucketed name → label table, rebuilt here from the label map with
-// the shared fib_dict_* helpers so the arena's resolution is
-// layout-identical to the scheme's own). finish() sees the label
-// sections and stamps the v4 magic.
+// reused with label-space semantics (ball row entries keyed by target
+// label; kCowenLandmark/kCowenLandmarkPort/kCowenLandmarkRank indexed
+// *by label*; the port matrix stays indexed by node and rank, the
+// underlying Cowen scheme's own), plus the two label sections —
+// kLabelMap (node → label permutation) and kDictionary (the bucketed
+// name → label table, rebuilt here from the label map with the shared
+// fib_dict_* helpers so the arena's resolution is layout-identical to
+// the scheme's own).
 template <typename S>
   requires requires(const S& s, NodeId v, std::uint32_t lbl) {
-    { s.labeled_table(v).size() } -> std::convertible_to<std::size_t>;
+    { s.labeled_ball_table(v).size() } -> std::convertible_to<std::size_t>;
     { s.label_of_node(v) } -> std::convertible_to<std::uint32_t>;
     { s.landmark_label_at(lbl) } -> std::convertible_to<std::uint32_t>;
     { s.port_at_landmark_at(lbl) } -> std::convertible_to<Port>;
+    { s.landmark_rank_at(lbl) } -> std::convertible_to<std::uint32_t>;
   }
 FlatFib compile_fib(const S& scheme, const Graph& g,
                     const FibCompileOptions& opt = {}) {
   const std::size_t n = g.node_count();
   FibBuilder b(FibKind::kTz, n);
   b.add_topology(g);
-  // Same capacity-CSR layout as the Cowen adapter: live length + slack
-  // per row, slack zeroed, so apply_delta can grow rows in place.
-  std::vector<std::uint32_t> row_off(n + 1, 0);
-  std::vector<std::uint32_t> row_len(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const auto len =
-        static_cast<std::uint32_t>(scheme.labeled_table(u).size());
-    row_len[u] = len;
-    const auto slack =
-        opt.row_slack_min +
-        static_cast<std::uint32_t>(opt.row_slack_frac * len);
-    row_off[u + 1] = row_off[u] + len + slack;
-  }
-  std::vector<std::uint64_t> rows(row_off[n], 0);
-  for (NodeId u = 0; u < n; ++u) {
-    std::size_t at = row_off[u];
-    for (const auto& [lbl, port] : scheme.labeled_table(u)) {
-      rows[at++] = fib_pack_entry(lbl, port);
-    }
-  }
+  detail::add_ball_rows(b, n, opt,
+                        [&](NodeId u) -> decltype(auto) {
+                          return scheme.labeled_ball_table(u);
+                        });
   // Landmark state indexed by label — the walker resolves a header to a
   // target label and reads these slots with that label directly.
-  std::vector<std::uint32_t> landmark(n), landmark_port(n);
+  std::vector<std::uint32_t> landmark(n), landmark_port(n), rank(n);
   for (std::uint32_t lbl = 0; lbl < n; ++lbl) {
     landmark[lbl] = scheme.landmark_label_at(lbl);
     landmark_port[lbl] = scheme.port_at_landmark_at(lbl);
+    rank[lbl] = scheme.landmark_rank_at(lbl);
   }
   std::vector<std::uint32_t> label_of(n);
   for (NodeId v = 0; v < n; ++v) label_of[v] = scheme.label_of_node(v);
@@ -185,15 +204,12 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
     std::copy(buckets[bkt].begin(), buckets[bkt].end(),
               dict.begin() + 2 + static_cast<std::size_t>(bkt * bucket_cap));
   }
-  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
-  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
-  b.add_array(fib_section::kCowenRows, std::move(rows));
   b.add_array(fib_section::kCowenLandmark, std::move(landmark));
   b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
   b.add_array(fib_section::kLabelMap, std::move(label_of));
   b.add_array(fib_section::kDictionary, std::move(dict));
-  // finish() synthesizes the Eytzinger mirror from the label-keyed rows
-  // and stamps the v4 magic (label sections present).
+  detail::add_landmark_columns(b, scheme.landmark_ports(), std::move(rank));
+  // finish() synthesizes the Eytzinger mirror from the label-keyed rows.
   return b.finish();
 }
 

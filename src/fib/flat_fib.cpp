@@ -15,7 +15,7 @@ namespace cpr {
 namespace {
 
 // Blob layout (all little-endian, produced/consumed on the same arch):
-//   header   : magic "CPRFIB05" (8B), kind u32, node_count u32,
+//   header   : magic "CPRFIB06" (8B), kind u32, node_count u32,
 //              section_count u32, reserved u32, payload_bytes u64,
 //              checksum u64 (over the payload region, see below)
 //   directory: per section {id u32, pad u32, offset u64, bytes u64};
@@ -41,10 +41,18 @@ namespace {
 // uses the chunked four-lane word hash below, which hashes 1 MiB chunks
 // independently so the writer and the loader spread it over the pool.
 // Nothing else moved: a v5 blob differs from the v3/v4 blob of the same
-// arena only in magic byte 7 and checksum bytes 32–39. finish() writes
-// v5 for every kind; v2–v4 blobs still open, serve and reseal in their
-// own checksum.
-constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '5'};
+// arena only in magic byte 7 and checksum bytes 32–39. v2–v4 blobs still
+// open, serve and reseal in their own checksum.
+//
+// v6 over v5: the landmark columns. kCowen and kTz arenas must carry
+// kCowenLandmarkCols (u32[n × |L|], |L| = its size / 4n) and
+// kCowenLandmarkRank (u32[n], indexed like the row keys), and their rows
+// hold ball entries only — no row key may be a landmark. Ranks are a
+// bijection from the keys whose landmark slot names themselves onto
+// [0, |L|); every column port is kInvalidPort or below the node's degree.
+// finish() writes v6 for every kind; v2–v5 arenas serve the landmark
+// entries out of their rows as before.
+constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '6'};
 constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8 + 8;  // 40
 constexpr std::size_t kDirEntryBytes = 4 + 4 + 8 + 8;    // 24
 constexpr std::size_t kChecksumOffset = 32;              // u64 in the header
@@ -200,10 +208,52 @@ void check_nodes(std::size_t n, const Check& check) {
   }
 }
 
+// v6 rank and column checks. A key carries a rank exactly when its
+// landmark slot names itself; ranks are below |L| and distinct (a rank
+// first claimed by a lower key marks every later claimant as the
+// duplicate), and with one rank per landmark they then cover [0, |L|).
+// Every column port is kInvalidPort or a port of its node.
+void check_landmark_columns(const FlatFib::CowenView& c,
+                            const FlatFib::TopoView& topo, std::size_t n) {
+  const std::uint32_t lc = c.landmark_count;
+  std::vector<std::uint32_t> owner(lc, kInvalidNode);
+  std::size_t ranked = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::uint32_t r = c.rank[k];
+    if (r == kNoLandmarkRank) continue;
+    ++ranked;
+    if (r < lc && owner[r] == kInvalidNode) {
+      owner[r] = static_cast<std::uint32_t>(k);
+    }
+  }
+  check_nodes(n, [&](std::size_t k) -> const char* {
+    const std::uint32_t r = c.rank[k];
+    const bool landmark = c.landmark[k] == k;
+    if (r == kNoLandmarkRank) {
+      return landmark ? "cowen: landmark without a rank" : nullptr;
+    }
+    if (!landmark) return "cowen: rank on a non-landmark";
+    if (r >= lc) return "cowen: landmark rank out of range";
+    if (owner[r] != k) return "cowen: duplicate landmark rank";
+    return nullptr;
+  });
+  if (ranked != lc) fail("cowen: landmark count disagrees with the columns");
+  check_nodes(n, [&](std::size_t u) -> const char* {
+    const std::size_t deg = topo.degree(static_cast<NodeId>(u));
+    const std::uint32_t* col = c.cols + u * lc;
+    for (std::uint32_t r = 0; r < lc; ++r) {
+      if (col[r] != kInvalidPort && col[r] >= deg) {
+        return "cowen: landmark column port out of range";
+      }
+    }
+    return nullptr;
+  });
+}
+
 // Blob version named by the magic, 0 when it is not one this build opens.
 std::uint32_t magic_version(const std::uint8_t* base) {
   if (std::memcmp(base, kMagic, 7) != 0) return 0;
-  return base[7] >= '2' && base[7] <= '5' ? base[7] - '0' : 0;
+  return base[7] >= '2' && base[7] <= '6' ? base[7] - '0' : 0;
 }
 
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
@@ -348,7 +398,8 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   if (avail < kHeaderBytes) fail("blob shorter than header");
   if (std::memcmp(base, kMagic, 6) != 0) fail("bad magic");
   // v2: pre-Eytzinger blob, served via binary search; v4: label layer
-  // (kLabelMap / kDictionary sections); v5: chunked word checksum.
+  // (kLabelMap / kDictionary sections); v5: chunked word checksum; v6:
+  // landmark port columns.
   fib.version_ = magic_version(base);
   if (fib.version_ == 0) fail("unsupported FIB blob version");
 
@@ -542,11 +593,28 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
       auto lmp = dir.require(fs::kCowenLandmarkPort, 4, n);
       fib.cowen_.landmark_port =
           reinterpret_cast<const std::uint32_t*>(lmp.data);
+      // v6 landmark columns: n × |L| ports, |L| read off the section size.
+      const std::uint32_t* rank = nullptr;
+      if (fib.version_ >= 6) {
+        rank = reinterpret_cast<const std::uint32_t*>(
+            dir.require(fs::kCowenLandmarkRank, 4, n).data);
+        std::size_t ports = 0;
+        auto cols = dir.require_counted(fs::kCowenLandmarkCols, 4, &ports);
+        if (n == 0 ? ports != 0
+                   : (ports % n != 0 || ports / n > kNoLandmarkRank)) {
+          fail("cowen: landmark columns are not n × |L|");
+        }
+        fib.cowen_.cols = reinterpret_cast<const std::uint32_t*>(cols.data);
+        fib.cowen_.rank = rank;
+        fib.cowen_.landmark_count =
+            n == 0 ? 0 : static_cast<std::uint32_t>(ports / n);
+      }
       // row_off is the capacity CSR; the live prefix of each row must be
       // strictly increasing by key and the slack tail zeroed (apply_delta
       // keeps both invariants, so reload == fresh compile structurally).
-      // Skipped for live shared mappings: these sections are exactly the
-      // ones a concurrent writer patches.
+      // From v6 on, no live key may be a landmark: those entries live in
+      // the columns. Skipped for live shared mappings: these sections are
+      // exactly the ones a concurrent writer patches.
       const std::uint32_t* ro = fib.cowen_.row_off;
       const std::uint32_t* row_len = fib.cowen_.row_len;
       const std::uint64_t* sorted = fib.cowen_.rows;
@@ -559,6 +627,14 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
           for (std::uint32_t i = ro[v]; i + 1 < ro[v] + len; ++i) {
             if (fib_entry_key(sorted[i]) >= fib_entry_key(sorted[i + 1])) {
               return "cowen: row keys not strictly increasing";
+            }
+          }
+          if (rank != nullptr) {
+            for (std::uint32_t i = ro[v]; i < ro[v] + len; ++i) {
+              const std::uint32_t key = fib_entry_key(sorted[i]);
+              if (key < n && rank[key] != kNoLandmarkRank) {
+                return "cowen: ball row holds a landmark key";
+              }
             }
           }
           for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
@@ -595,6 +671,9 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
           }
           fib.cowen_.eyt = eyt;
         }
+      }
+      if (rank != nullptr && fib.deep_validate_) {
+        check_landmark_columns(fib.cowen_, fib.topo_, n);
       }
       if (fib.kind_ == FibKind::kTz) {
         auto lmap = dir.require(fs::kLabelMap, 4, n);
@@ -849,6 +928,29 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
           std::uint64_t e;
           std::memcpy(&e, p.bytes.data() + i * 8, 8);
           if (i > 0 && fib_entry_key(e) <= fib_entry_key(prev)) return false;
+          // v6 rows are ball rows: landmark entries live in the columns.
+          if (cowen_.rank != nullptr && fib_entry_key(e) < n &&
+              cowen_.rank[fib_entry_key(e)] != kNoLandmarkRank) {
+            return false;
+          }
+          prev = e;
+        }
+        break;
+      }
+      case fs::kCowenLandmarkCols: {
+        // Node-keyed column patch: packed (rank, port) words, ranks
+        // strictly increasing, ports valid for the node.
+        if (cowen_.cols == nullptr) return false;
+        if (p.row >= n || p.bytes.size() % 8 != 0) return false;
+        const std::size_t deg = topo_.degree(p.row);
+        std::uint64_t prev = 0;
+        for (std::size_t i = 0; i < p.bytes.size() / 8; ++i) {
+          std::uint64_t e;
+          std::memcpy(&e, p.bytes.data() + i * 8, 8);
+          const std::uint32_t port = fib_entry_port(e);
+          if (fib_entry_key(e) >= cowen_.landmark_count) return false;
+          if (i > 0 && fib_entry_key(e) <= fib_entry_key(prev)) return false;
+          if (port != kInvalidPort && port >= deg) return false;
           prev = e;
         }
         break;
@@ -858,6 +960,12 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         std::uint32_t lm;
         std::memcpy(&lm, p.bytes.data(), 4);
         if (lm >= n && lm != kInvalidNode) return false;
+        // v6: the landmark set is pinned by the ranks — a slot names
+        // itself exactly when its key is a landmark.
+        if (cowen_.rank != nullptr &&
+            (lm == p.row) != (cowen_.rank[p.row] != kNoLandmarkRank)) {
+          return false;
+        }
         break;
       }
       case fs::kCowenLandmarkPort: {
@@ -917,6 +1025,9 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
   // nullptr for writable v2 arenas (no mirror to maintain); v3 arenas
   // always have it — the loader rejects them otherwise.
   auto* eyt = reinterpret_cast<std::uint64_t*>(section_ptr(fs::kCowenRowsEyt));
+  // nullptr for v2–v5 arenas, whose column patches are refused above.
+  auto* cols =
+      reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmarkCols));
   // Label sections exist exactly on kTz arenas; their patches are
   // refused above for every other kind, so nullptr here is never
   // dereferenced.
@@ -979,6 +1090,16 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
           for (std::size_t i = len; i < cap; ++i) {
             fib_seq_store_u64(eyt + begin + i, 0);
           }
+        }
+        break;
+      }
+      case fs::kCowenLandmarkCols: {
+        std::uint32_t* col =
+            cols + std::size_t{p.row} * cowen_.landmark_count;
+        for (std::size_t i = 0; i < p.bytes.size() / 8; ++i) {
+          std::uint64_t e;
+          std::memcpy(&e, p.bytes.data() + i * 8, 8);
+          fib_seq_store_u32(col + fib_entry_key(e), fib_entry_port(e));
         }
         break;
       }

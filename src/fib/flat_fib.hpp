@@ -12,9 +12,11 @@
 //                ports) plus the per-target light-label sequences in CSR
 //                form (Theorem 1's O(log n)-bit state, flattened),
 //   interval   : per-node records plus child interval boundaries + ports,
-//   cowen      : per-node sorted (target, port) rows packed as one u64
-//                per entry, plus landmark and port-at-landmark arrays
-//                (Theorem 3's Õ(√n) tables, flattened),
+//   cowen      : per-node sorted (target, port) ball rows packed as one
+//                u64 per entry, a dense n × |L| landmark port matrix
+//                indexed by landmark rank, plus landmark and
+//                port-at-landmark arrays (Theorem 3's Õ(√n) tables,
+//                flattened),
 //   table      : run-length rows over label space (one u64 per run) plus
 //                the designer relabeling.
 //   mesh       : the SVFC peer-mesh plane (src/bgp): per-component
@@ -85,8 +87,18 @@
 // Blob format v5 ("CPRFIB05") changes only the payload checksum: v2–v4
 // use byte-serial FNV-1a, v5 a chunked four-lane word hash
 // (fib_payload_checksum) that the writer and the loader spread over the
-// global pool. finish() writes v5 for every kind; v2–v4 blobs still
-// open, serve and reseal in their own checksum.
+// global pool. v2–v5 blobs still open, serve and reseal in their own
+// checksum.
+//
+// Blob format v6 ("CPRFIB06") splits each kCowen / kTz table in two:
+// the rows (and their mirror) keep only ball entries, and the landmark
+// entries move to kCowenLandmarkCols — for each node u, |L| u32 ports
+// indexed by landmark rank (kInvalidPort where u does not reach the
+// landmark) — with kCowenLandmarkRank mapping each row key to its rank
+// (kNoLandmarkRank for non-landmarks). A landmark entry is then one
+// column load with no key stored, and a v2–v5 arena (no column section)
+// serves through the row search it always used. finish() writes v6 for
+// every kind.
 //
 // Cross-process patching (fib/patch_channel.hpp) lifts the same seqlock
 // across processes: from_shared opens an arena inside a MAP_SHARED
@@ -221,7 +233,10 @@ void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
                                std::uint32_t len, std::uint64_t* eyt);
 
 // The blob version FibBuilder::finish writes.
-inline constexpr std::uint32_t kFibBlobVersion = 5;
+inline constexpr std::uint32_t kFibBlobVersion = 6;
+
+// kCowenLandmarkRank value of a key that is not a landmark.
+inline constexpr std::uint32_t kNoLandmarkRank = ~std::uint32_t{0};
 
 // The v5 payload checksum hashes fixed 1 MiB chunks independently, each
 // with four interleaved lanes of word-wise FNV-1a-64 (lane l takes words
@@ -305,6 +320,13 @@ class FlatFib {
     const std::uint64_t* eyt = nullptr;
     const std::uint32_t* landmark = nullptr;       // landmark_of per node
     const std::uint32_t* landmark_port = nullptr;  // port_at_landmark per node
+    // v6: node u's port toward the landmark of rank r is
+    // cols[u * landmark_count + r]; rank[k] is the rank of row key k
+    // (node id, or label for kTz) or kNoLandmarkRank. Both nullptr for
+    // v2–v5 blobs, whose rows carry the landmark entries themselves.
+    const std::uint32_t* cols = nullptr;
+    const std::uint32_t* rank = nullptr;
+    std::uint32_t landmark_count = 0;
   };
   struct TableView {
     const std::uint32_t* row_off = nullptr;  // n + 1
@@ -430,7 +452,8 @@ class FlatFib {
   // 2 for a legacy "CPRFIB02" blob (no Eytzinger mirror), 3 for
   // "CPRFIB03", 4 for "CPRFIB04" (label layer: kLabelMap/kDictionary
   // sections; required for kTz), 5 for "CPRFIB05" (chunked word
-  // checksum), the version every fresh compile writes.
+  // checksum), 6 for "CPRFIB06" (landmark port columns), the version
+  // every fresh compile writes.
   std::uint32_t blob_version() const { return version_; }
 
   // Blob-relative byte offset of section `id`, 0 when absent.
@@ -489,7 +512,7 @@ class FlatFib {
   bool writable_ = false;             // false: mmap'd/foreign, never patched
   std::size_t bytes_ = 0;             // meaningful prefix of the backing
   std::size_t payload_begin_ = 0;     // checksummed region [begin, bytes_)
-  std::uint32_t version_ = kFibBlobVersion;  // blob format version (2–5)
+  std::uint32_t version_ = kFibBlobVersion;  // blob format version (2–6)
   FibKind kind_ = FibKind::kTree;
   std::size_t node_count_ = 0;
   std::vector<SectionEntry> sections_;
@@ -507,7 +530,9 @@ class FlatFib {
 
 // Assembles a blob section by section; compile adapters (fib/compile.hpp)
 // drive it. add_section and add_array(const&) copy the caller's bytes;
-// add_array(&&) takes the vector over without copying. finish() lays out
+// add_array(&&) takes the vector over without copying; add_borrowed
+// records the caller's bytes, which must stay alive until finish() — the
+// one copy is then the one into the blob. finish() lays out
 // the header, directory and section offsets, allocates the final word
 // buffer once and copies each section into it once (releasing the
 // section's own storage as it goes), synthesizes the v3 Eytzinger mirror
@@ -518,7 +543,7 @@ class FlatFib {
 // or reloaded, went through the same checks, checksum included.
 // Hand-assembled arenas (tests, tools) therefore cannot produce a v3+
 // blob with a missing or inconsistent mirror. Every kind serializes as
-// "CPRFIB05".
+// "CPRFIB06".
 class FibBuilder {
  public:
   FibBuilder(FibKind kind, std::size_t node_count);
@@ -531,6 +556,12 @@ class FibBuilder {
   template <typename T>
   void add_array(std::uint32_t id, const std::vector<T>& v) {
     add_section(id, v.data(), v.size() * sizeof(T));
+  }
+
+  template <typename T>
+  void add_borrowed(std::uint32_t id, std::span<const T> v) {
+    sections_.push_back({id, reinterpret_cast<const std::uint8_t*>(v.data()),
+                         v.size_bytes(), Storage(nullptr, [](void*) {})});
   }
 
   template <typename T>
@@ -579,6 +610,9 @@ inline constexpr std::uint32_t kCowenLandmark = 32;
 inline constexpr std::uint32_t kCowenLandmarkPort = 33;
 inline constexpr std::uint32_t kCowenRowLen = 34;  // v2: live entries per row
 inline constexpr std::uint32_t kCowenRowsEyt = 35;  // v3: Eytzinger mirror
+// v6: the n × |L| landmark port matrix and the key → landmark rank map.
+inline constexpr std::uint32_t kCowenLandmarkCols = 36;
+inline constexpr std::uint32_t kCowenLandmarkRank = 37;
 inline constexpr std::uint32_t kTableRowOff = 40;
 inline constexpr std::uint32_t kTableRuns = 41;
 inline constexpr std::uint32_t kTableRelabel = 42;

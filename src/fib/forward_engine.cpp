@@ -135,25 +135,65 @@ inline bool seq_row_search(const std::uint64_t* row, std::uint32_t len,
   return true;
 }
 
+// The v6 landmark columns as the walkers see them: the ranks of the
+// query's target and landmark keys, resolved once per query, and the
+// column slot a hop at u reads. v2–v5 arenas have no columns; both ranks
+// then stay kNoLandmarkRank and every lookup is the row search those
+// blobs were written for. The rank map is never patched (the landmark
+// set is pinned under churn), so it is read plainly; column slots are
+// patched and go through the seqlock load.
+struct LandmarkColumns {
+  const FlatFib::CowenView& t;
+  std::uint32_t node_count = 0;
+  std::uint32_t target_rank = kNoLandmarkRank;
+  std::uint32_t landmark_rank = kNoLandmarkRank;
+
+  explicit LandmarkColumns(const FlatFib& fib)
+      : t(fib.cowen()),
+        node_count(static_cast<std::uint32_t>(fib.node_count())) {}
+  std::uint32_t rank_of(std::uint32_t key) const {
+    return t.cols != nullptr && key < node_count ? t.rank[key]
+                                                 : kNoLandmarkRank;
+  }
+  void resolve(std::uint32_t target_key, std::uint32_t landmark_key) {
+    target_rank = rank_of(target_key);
+    landmark_rank = rank_of(landmark_key);
+  }
+  const std::uint32_t* slot(NodeId u, std::uint32_t r) const {
+    return t.cols + std::size_t{u} * t.landmark_count + r;
+  }
+  Port port(NodeId u, std::uint32_t r) const {
+    return r == kNoLandmarkRank ? kInvalidPort : fib_seq_load_u32(slot(u, r));
+  }
+  // The slot the hop at v reads unless its ball row answers first.
+  void prefetch(NodeId v) const {
+    const std::uint32_t r =
+        target_rank != kNoLandmarkRank ? target_rank : landmark_rank;
+    if (r != kNoLandmarkRank) CPR_PREFETCH(slot(v, r));
+  }
+};
+
 // Cowen and TZ are the kinds apply_delta patches, so their walkers are
 // the only ones that read the arena through the seqlock load helpers:
-// every probe of rows / row_len / landmark / landmark_port is a relaxed
-// atomic load racing benignly with a concurrent writer. A torn window
-// can hand back a stale-or-new mixture of values — never out-of-bounds,
-// since row_off is the immutable capacity CSR and any stored row_len is
-// within it — and the generation recheck after the batch discards the
-// whole result.
+// every probe of rows / row_len / columns / landmark / landmark_port is a
+// relaxed atomic load racing benignly with a concurrent writer. A torn
+// window can hand back a stale-or-new mixture of values — never
+// out-of-bounds, since row_off is the immutable capacity CSR and any
+// stored row_len is within it — and the generation recheck after the
+// batch discards the whole result.
 struct CowenWalker {
   const FlatFib::CowenView& t;
+  LandmarkColumns cols;
   NodeId target = kInvalidNode;
   NodeId landmark = kInvalidNode;
   Port port_at_landmark = kInvalidPort;
 
-  explicit CowenWalker(const FlatFib& fib) : t(fib.cowen()) {}
+  explicit CowenWalker(const FlatFib& fib) : t(fib.cowen()), cols(fib) {}
   void resolve(NodeId tgt) {
     target = tgt;
     landmark = fib_seq_load_u32(t.landmark + tgt);
     port_at_landmark = fib_seq_load_u32(t.landmark_port + tgt);
+    cols.resolve(target, landmark);
   }
   bool search(const std::uint64_t* row, std::uint32_t len, std::uint32_t key,
               std::uint64_t* out) const {
@@ -161,23 +201,31 @@ struct CowenWalker {
   }
   StepResult step(NodeId u) const {
     if (u == target) return {true, kInvalidPort};
+    // Same precedence as CowenScheme::forward: direct entry (one column
+    // load for a landmark target), the landmark's own hop, then the
+    // entry toward the landmark.
+    if (cols.target_rank != kNoLandmarkRank) {
+      return {false, cols.port(u, cols.target_rank)};
+    }
     // row_off[u] is the row's *capacity* base; only the live prefix
     // (row_len[u] entries) holds data, the rest is patching slack.
     const std::uint64_t* row = t.rows + t.row_off[u];
     const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    // Same precedence as CowenScheme::forward: direct entry, the
-    // landmark's own hop, then the entry toward the landmark.
     std::uint64_t e;
     if (search(row, len, target, &e) && fib_entry_key(e) == target) {
       return {false, fib_entry_port(e)};
     }
     if (u == landmark) return {false, port_at_landmark};
+    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
     if (search(row, len, landmark, &e) && fib_entry_key(e) == landmark) {
       return {false, fib_entry_port(e)};
     }
     return {false, kInvalidPort};
   }
-  void prefetch(NodeId v) const { CPR_PREFETCH(&t.rows[t.row_off[v]]); }
+  void prefetch(NodeId v) const {
+    CPR_PREFETCH(&t.rows[t.row_off[v]]);
+    cols.prefetch(v);
+  }
 };
 
 // Thorup–Zwick name-independent walker: the Cowen decision procedure
@@ -195,6 +243,7 @@ struct CowenWalker {
 struct TzWalker {
   const FlatFib::CowenView& t;  // rows/landmark arrays, label-keyed
   const FlatFib::TzView& z;     // label map + name dictionary
+  LandmarkColumns cols;         // rank map label-keyed, columns by node
   std::uint32_t node_count = 0;
   std::uint32_t target_label = kInvalidNode;
   std::uint32_t landmark_label = kInvalidNode;
@@ -203,6 +252,7 @@ struct TzWalker {
   explicit TzWalker(const FlatFib& fib)
       : t(fib.cowen()),
         z(fib.tz()),
+        cols(fib),
         node_count(static_cast<std::uint32_t>(fib.node_count())) {}
 
   // Bucketed dictionary probe: scan the bucket's live prefix (strictly
@@ -231,29 +281,38 @@ struct TzWalker {
       landmark_label = kInvalidNode;
       port_at_landmark = kInvalidPort;
     }
+    cols.resolve(target_label, landmark_label);
   }
   StepResult step(NodeId u) const {
     const std::uint32_t ul = fib_seq_load_u32(z.label_of + u);
     if (ul == target_label) return {true, kInvalidPort};
-    const std::uint64_t* row = t.rows + t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
     // Same precedence as the Cowen walker, in label space: direct entry,
     // the landmark's own hop, then the entry toward the landmark. Row
     // keys are labels < n, so an invalid target/landmark label (unknown
-    // name) can never match a key and the packet drops.
+    // name) can never match a key — nor carry a rank — and the packet
+    // drops.
+    if (cols.target_rank != kNoLandmarkRank) {
+      return {false, cols.port(u, cols.target_rank)};
+    }
+    const std::uint64_t* row = t.rows + t.row_off[u];
+    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
     std::uint64_t e;
     if (seq_row_search(row, len, target_label, &e) &&
         fib_entry_key(e) == target_label) {
       return {false, fib_entry_port(e)};
     }
     if (ul == landmark_label) return {false, port_at_landmark};
+    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
     if (seq_row_search(row, len, landmark_label, &e) &&
         fib_entry_key(e) == landmark_label) {
       return {false, fib_entry_port(e)};
     }
     return {false, kInvalidPort};
   }
-  void prefetch(NodeId v) const { CPR_PREFETCH(&t.rows[t.row_off[v]]); }
+  void prefetch(NodeId v) const {
+    CPR_PREFETCH(&t.rows[t.row_off[v]]);
+    cols.prefetch(v);
+  }
 };
 
 // SVFC peer mesh (Theorem 7): in the target's component this is exactly
@@ -628,15 +687,17 @@ inline bool cowen_bsearch(const std::uint64_t* row, std::uint32_t len,
 // reach this type.
 struct CowenSimdWalker {
   const FlatFib::CowenView& t;
+  LandmarkColumns cols;
   NodeId target = kInvalidNode;
   NodeId landmark = kInvalidNode;
   Port port_at_landmark = kInvalidPort;
 
-  explicit CowenSimdWalker(const FlatFib& fib) : t(fib.cowen()) {}
+  explicit CowenSimdWalker(const FlatFib& fib) : t(fib.cowen()), cols(fib) {}
   void resolve(NodeId tgt) {
     target = tgt;
     landmark = fib_seq_load_u32(t.landmark + tgt);
     port_at_landmark = fib_seq_load_u32(t.landmark_port + tgt);
+    cols.resolve(target, landmark);
   }
   bool find(std::uint32_t off, std::uint32_t len, std::uint32_t key,
             std::uint32_t* port_out) const {
@@ -650,11 +711,15 @@ struct CowenSimdWalker {
   }
   StepResult step(NodeId u) const {
     if (u == target) return {true, kInvalidPort};
+    if (cols.target_rank != kNoLandmarkRank) {
+      return {false, cols.port(u, cols.target_rank)};
+    }
     const std::uint32_t off = t.row_off[u];
     const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
     std::uint32_t port;
     if (find(off, len, target, &port)) return {false, port};
     if (u == landmark) return {false, port_at_landmark};
+    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
     if (find(off, len, landmark, &port)) return {false, port};
     return {false, kInvalidPort};
   }
@@ -662,6 +727,7 @@ struct CowenSimdWalker {
     const std::uint32_t off = t.row_off[v];
     CPR_PREFETCH(&t.rows[off]);
     if (t.eyt != nullptr) CPR_PREFETCH(&t.eyt[off]);
+    cols.prefetch(v);
   }
 };
 
@@ -676,6 +742,7 @@ struct CowenSimdWalker {
 struct TzSimdWalker {
   const FlatFib::CowenView& t;
   const FlatFib::TzView& z;
+  LandmarkColumns cols;
   std::uint32_t node_count = 0;
   std::uint32_t target_label = kInvalidNode;
   std::uint32_t landmark_label = kInvalidNode;
@@ -684,6 +751,7 @@ struct TzSimdWalker {
   explicit TzSimdWalker(const FlatFib& fib)
       : t(fib.cowen()),
         z(fib.tz()),
+        cols(fib),
         node_count(static_cast<std::uint32_t>(fib.node_count())) {}
 
   std::uint32_t dict_resolve(std::uint32_t name) const {
@@ -708,6 +776,7 @@ struct TzSimdWalker {
       landmark_label = kInvalidNode;
       port_at_landmark = kInvalidPort;
     }
+    cols.resolve(target_label, landmark_label);
   }
   bool find(std::uint32_t off, std::uint32_t len, std::uint32_t key,
             std::uint32_t* port_out) const {
@@ -721,11 +790,15 @@ struct TzSimdWalker {
   }
   StepResult step(NodeId u) const {
     if (z.label_of[u] == target_label) return {true, kInvalidPort};
+    if (cols.target_rank != kNoLandmarkRank) {
+      return {false, cols.port(u, cols.target_rank)};
+    }
     const std::uint32_t off = t.row_off[u];
     const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
     std::uint32_t port;
     if (find(off, len, target_label, &port)) return {false, port};
     if (z.label_of[u] == landmark_label) return {false, port_at_landmark};
+    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
     if (find(off, len, landmark_label, &port)) return {false, port};
     return {false, kInvalidPort};
   }
@@ -733,6 +806,7 @@ struct TzSimdWalker {
     const std::uint32_t off = t.row_off[v];
     CPR_PREFETCH(&t.rows[off]);
     if (t.eyt != nullptr) CPR_PREFETCH(&t.eyt[off]);
+    cols.prefetch(v);
   }
 };
 
@@ -1098,9 +1172,16 @@ FibDispatch fib_resolve_batch_dispatch(const FibBatchOptions& opt) {
   return fib_resolve_dispatch(opt.dispatch);
 }
 
+void fib_check_batch_size(std::size_t queries) {
+  if (queries > kFibMaxBatchQueries) {
+    throw std::length_error("forward_batch: more than 2^32 - 1 queries");
+  }
+}
+
 FibBatchOutput forward_batch(const FlatFib& fib,
                              std::span<const std::pair<NodeId, NodeId>> queries,
                              const FibBatchOptions& opt) {
+  fib_check_batch_size(queries.size());
   FibBatchOutput out;
   out.results.resize(queries.size());
   if (queries.empty() || fib.node_count() == 0) return out;

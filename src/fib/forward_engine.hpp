@@ -191,6 +191,13 @@ struct FibBatchOutput {
   }
 };
 
+// forward_batch indexes its queries with u32 (shard order, cursors), so a
+// batch holds at most this many. fib_check_batch_size throws
+// std::length_error past it; forward_batch calls it before allocating
+// anything.
+inline constexpr std::size_t kFibMaxBatchQueries = 0xffffffffu;
+void fib_check_batch_size(std::size_t queries);
+
 FibBatchOutput forward_batch(const FlatFib& fib,
                              std::span<const std::pair<NodeId, NodeId>> queries,
                              const FibBatchOptions& opt = {});

@@ -578,8 +578,11 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
   const std::uint64_t landmark_off = fib_.section_offset(fsid::kCowenLandmark);
   const std::uint64_t landmark_port_off =
       fib_.section_offset(fsid::kCowenLandmarkPort);
+  const std::uint64_t cols_off = fib_.section_offset(fsid::kCowenLandmarkCols);
   std::vector<std::size_t> words;
   for (const FibRowPatch& p : delta.patches) {
+    // Out-of-range rows are apply_delta's to refuse; never index by them.
+    if (p.row >= fib_.node_count()) continue;
     switch (p.section) {
       case fsid::kCowenRows: {
         const std::size_t begin = cw.row_off[p.row];
@@ -596,6 +599,19 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
         break;
       case fsid::kCowenLandmarkPort:
         words.push_back((landmark_port_off + 4 * std::size_t{p.row}) / 8);
+        break;
+      case fsid::kCowenLandmarkCols:
+        // Packed (rank, port) words; a v2–v5 segment has no columns and
+        // apply_delta refuses the delta.
+        if (cols_off == 0) break;
+        for (std::size_t i = 0; i + 8 <= p.bytes.size(); i += 8) {
+          std::uint64_t e;
+          std::memcpy(&e, p.bytes.data() + i, 8);
+          if (fib_entry_key(e) >= cw.landmark_count) continue;
+          const std::size_t slot =
+              std::size_t{p.row} * cw.landmark_count + fib_entry_key(e);
+          words.push_back((cols_off + 4 * slot) / 8);
+        }
         break;
       default:
         break;  // apply_delta will reject the delta wholesale

@@ -6,7 +6,11 @@
 //     B(u) = { v : w(p*_uv) ≺ w(p*_u,l_u) }
 // and the cluster C(u) = { v : u ∈ B(v) }. The label of v is the triplet
 // (v, l_v, port_{l_v,v}); node u keeps a (target, port) entry for every
-// v ∈ C(u) ∪ L. In-cluster packets follow preferred paths; everything
+// v ∈ C(u) ∪ L. The two halves are stored apart: the cluster ("ball")
+// entries as a short sorted row per node, the landmark entries as a
+// dense n × |L| port matrix indexed by landmark rank (landmarks in
+// ascending id order), so a landmark entry costs one port and no target
+// id. In-cluster packets follow preferred paths; everything
 // else detours via the target's landmark, and Lemma 4 (triangle
 // inequality + isotonicity) bounds the detour by algebraic stretch 3:
 //     w(p*_u,l_v) ⊕ w(p*_l_v,v) ⪯ (w(p*_u,v))³.
@@ -48,7 +52,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -80,9 +83,10 @@ struct CowenOptions {
   Construction construction = Construction::kStreaming;
   // Measurement-only escape hatch for the very largest streaming sweeps
   // (n ~ 10⁶, where the Θ(n·|L|) tables themselves are tens of GB):
-  // false skips materializing tables_ — landmark assignment, cluster
-  // sizes, promotion decisions and labels stay exact, but forward() has
-  // no entries to route by. bench_json's 1M stretch-goal leg uses this.
+  // false skips materializing the ball rows and the landmark port matrix
+  // — landmark assignment, cluster sizes, promotion decisions and labels
+  // stay exact, but forward() has no entries to route by. bench_json's
+  // 1M stretch-goal leg uses this.
   bool materialize_tables = true;
   // Landmark SSSP batch size for the streaming construction — bounds how
   // many full trees are resident at once during the nearest-landmark
@@ -95,9 +99,10 @@ struct CowenRepairStats {
   // Always false: every event is repaired by the same pinned streamed
   // rebuild plus diff. Kept for callers that report a fallback rate.
   bool full_rebuild = false;
-  // Footprint on the compiled plane: one row patch per table that
-  // actually changed and slot patches for moved landmark labels. Empty
-  // when the event left every table and label unchanged.
+  // Footprint on the compiled plane: one row patch per ball table that
+  // actually changed, one column patch per node whose landmark ports
+  // moved, and slot patches for moved landmark labels. Empty when the
+  // event left every table and label unchanged.
   FibDelta fib_delta;
 };
 
@@ -167,6 +172,7 @@ class CowenScheme {
       if (opt.materialize_tables) {
         s.build_tables();
       } else {
+        s.rank_landmarks();
         s.port_at_landmark_.assign(n, kInvalidPort);
         parallel_for(
             *s.pool_, 0, n,
@@ -175,7 +181,7 @@ class CowenScheme {
                   s.compute_port_at_landmark(static_cast<NodeId>(i));
             },
             /*grain=*/64);
-        s.tables_.assign(n, {});
+        s.ball_tables_.assign(n, {});
       }
     } else {
       s.build_streaming(w, opt.materialize_tables, s.landmark_batch_,
@@ -214,7 +220,8 @@ class CowenScheme {
     const std::size_t n = graph_->node_count();
     if (n == 0 || e >= graph_->edge_count()) return stats;
 
-    const auto old_tables = std::move(tables_);
+    const auto old_tables = std::move(ball_tables_);
+    std::vector<Port> old_ports = std::move(landmark_ports_);
     const std::vector<NodeId> old_landmark_of = std::move(landmark_of_);
     const std::vector<Port> old_port_at_landmark = std::move(port_at_landmark_);
     // Trees from a materialized build describe the pre-event weights; drop
@@ -222,24 +229,43 @@ class CowenScheme {
     std::vector<PathTree<W>>().swap(trees_);
     build_streaming(w, /*materialize_tables=*/true, landmark_batch_,
                     /*promote=*/false);
+    // A stats-only build had no matrix: every port it gains has moved.
+    old_ports.resize(landmark_ports_.size(), kInvalidPort);
 
-    // One full-row patch per table that moved plus 4-byte slot patches for
-    // landmark / port-at-landmark changes, in node-id order so the arena's
-    // patcher streams forward.
-    std::vector<std::uint64_t> row;
+    // One full-row patch per ball table that moved, one column patch per
+    // node listing its moved landmark ports as packed (rank, port) words,
+    // plus 4-byte slot patches for landmark / port-at-landmark changes, in
+    // node-id order so the arena's patcher streams forward. Landmarks and
+    // ranks are pinned, so the old and new matrices have the same shape
+    // and a column patch is keyed by node, never by a u·|L| slot index.
+    const std::size_t lc = landmarks_.size();
+    std::vector<std::uint64_t> row, moved;
     for (NodeId v = 0; v < n; ++v) {
-      const bool table_moved = tables_[v] != old_tables[v];
+      const bool table_moved = ball_tables_[v] != old_tables[v];
       const bool lm_moved = landmark_of_[v] != old_landmark_of[v];
       const bool lport_moved = port_at_landmark_[v] != old_port_at_landmark[v];
-      if (!(table_moved || lm_moved || lport_moved)) continue;
+      moved.clear();
+      for (std::size_t r = 0; r < lc; ++r) {
+        const Port p = landmark_ports_[v * lc + r];
+        if (p != old_ports[v * lc + r]) {
+          moved.push_back(fib_pack_entry(static_cast<std::uint32_t>(r), p));
+        }
+      }
+      if (!(table_moved || lm_moved || lport_moved || !moved.empty())) {
+        continue;
+      }
       ++stats.fib_delta.touched_nodes;
       if (table_moved) {
         row.clear();
-        for (const auto& [target, port] : tables_[v]) {
+        for (const auto& [target, port] : ball_tables_[v]) {
           row.push_back(fib_pack_entry(target, port));
         }
         stats.fib_delta.patches.push_back(
             fib_patch_row_u64(fib_section::kCowenRows, v, row));
+      }
+      if (!moved.empty()) {
+        stats.fib_delta.patches.push_back(
+            fib_patch_row_u64(fib_section::kCowenLandmarkCols, v, moved));
       }
       if (lm_moved) {
         stats.fib_delta.patches.push_back(
@@ -276,8 +302,9 @@ class CowenScheme {
   std::size_t local_memory_bits(NodeId u) const {
     BitWriter bits;
     const std::size_t n = graph_->node_count();
-    bits.write_varint(tables_[u].size());
-    for (const auto& [target, port] : tables_[u]) {
+    const auto entries = table(u);
+    bits.write_varint(entries.size());
+    for (const auto& [target, port] : entries) {
       bits.write_bounded(target, n);
       bits.write_bounded(port, std::max<std::size_t>(graph_->degree(u), 1));
     }
@@ -319,11 +346,7 @@ class CowenScheme {
     return h;
   }
 
-  std::size_t landmark_count() const {
-    std::size_t c = 0;
-    for (bool b : is_landmark_) c += b ? 1 : 0;
-    return c;
-  }
+  std::size_t landmark_count() const { return landmarks_.size(); }
   std::size_t cluster_size(NodeId u) const {
     return cluster_sizes_.empty() ? 0 : cluster_sizes_[u];
   }
@@ -354,25 +377,94 @@ class CowenScheme {
     }
     return trees_[t];
   }
-  // The raw (target, port) table of node u — sorted by target, flat so
-  // the fill phase is a single allocation-free append stream — exposed so
-  // the determinism tests can compare parallel builds entry-by-entry.
-  const std::vector<std::pair<NodeId, Port>>& table(NodeId u) const {
-    return tables_[u];
+  // Node u's whole logical (target, port) table — its ball entries and a
+  // landmark entry wherever u reaches the landmark, ascending by target —
+  // assembled by value from the two stored halves. Empty in the
+  // stats-only mode (materialize_tables = false).
+  std::vector<std::pair<NodeId, Port>> table(NodeId u) const {
+    const auto& ball = ball_tables_[u];
+    if (landmark_ports_.empty()) return ball;
+    const std::size_t lc = landmarks_.size();
+    std::vector<std::pair<NodeId, Port>> out;
+    out.reserve(ball.size() + lc);
+    auto it = ball.begin();
+    for (std::size_t r = 0; r < lc; ++r) {
+      const NodeId l = landmarks_[r];
+      while (it != ball.end() && it->first < l) out.push_back(*it++);
+      const Port p = landmark_ports_[u * lc + r];
+      if (p != kInvalidPort) out.emplace_back(l, p);
+    }
+    out.insert(out.end(), it, ball.end());
+    return out;
   }
+  // The stored halves of table(u), the shapes compile_fib serializes:
+  // u's ball row (sorted by target, no landmark targets), each node's
+  // landmark rank (kNoLandmarkRank for non-landmarks), and the row-major
+  // n × landmark_count() port matrix (kInvalidPort where u does not
+  // reach the landmark, and at the landmark itself).
+  const std::vector<std::pair<NodeId, Port>>& ball_table(NodeId u) const {
+    return ball_tables_[u];
+  }
+  std::uint32_t landmark_rank(NodeId v) const { return landmark_rank_[v]; }
+  const std::vector<Port>& landmark_ports() const { return landmark_ports_; }
   Port port_at_landmark(NodeId v) const { return port_at_landmark_[v]; }
 
  private:
   CowenScheme(const A& alg, const Graph& g) : alg_(alg), graph_(&g) {}
 
-  // Binary search into u's flat sorted table; nullptr when target has no
-  // entry (forwarding then falls back to the landmark route).
+  // u's entry toward target: one matrix load for a landmark target, a
+  // binary search of u's ball row otherwise; nullptr when there is none
+  // (forwarding then falls back to the landmark route).
   const Port* table_lookup(NodeId u, NodeId target) const {
-    const auto& t = tables_[u];
+    if (target >= landmark_rank_.size()) return nullptr;  // kInvalidNode
+    const std::uint32_t r = landmark_rank_[target];
+    if (r != kNoLandmarkRank) {
+      if (landmark_ports_.empty()) return nullptr;
+      const Port* p = &landmark_ports_[u * landmarks_.size() + r];
+      return *p != kInvalidPort ? p : nullptr;
+    }
+    const auto& t = ball_tables_[u];
     const auto it = std::lower_bound(
         t.begin(), t.end(), target,
         [](const std::pair<NodeId, Port>& e, NodeId v) { return e.first < v; });
     return (it != t.end() && it->first == target) ? &it->second : nullptr;
+  }
+
+  // The landmark list (ascending, so index = rank) and rank map of the
+  // current landmark set.
+  void rank_landmarks() {
+    const std::size_t n = graph_->node_count();
+    landmarks_.clear();
+    landmark_rank_.assign(n, kNoLandmarkRank);
+    for (NodeId l = 0; l < n; ++l) {
+      if (!is_landmark_[l]) continue;
+      landmark_rank_[l] = static_cast<std::uint32_t>(landmarks_.size());
+      landmarks_.push_back(l);
+    }
+  }
+
+  // Fills the n × |L| port matrix from each landmark's parent array
+  // (parent_of(r) for the landmark of rank r): u's port toward l is its
+  // port to its parent in l's tree. Node blocks keep the block's matrix
+  // rows in cache while the landmarks' parent slices stream through.
+  template <typename ParentOf>
+  void fill_landmark_ports(const ParentOf& parent_of) {
+    const std::size_t n = graph_->node_count();
+    const std::size_t lc = landmarks_.size();
+    landmark_ports_.assign(n * lc, kInvalidPort);
+    constexpr std::size_t kBlock = 64;
+    parallel_for(*pool_, 0, (n + kBlock - 1) / kBlock, [&](std::size_t bi) {
+      const std::size_t lo = bi * kBlock;
+      const std::size_t hi = std::min(n, lo + kBlock);
+      for (std::size_t r = 0; r < lc; ++r) {
+        const std::vector<NodeId>& par = parent_of(r);
+        for (std::size_t u = lo; u < hi; ++u) {
+          if (u == landmarks_[r] || par[u] == kInvalidNode) continue;
+          landmark_ports_[u * lc + r] =
+              csr_.port_to(static_cast<NodeId>(u), par[u]);
+        }
+      }
+    });
   }
 
   // ⪯-distance from u to node x, read off tree(x)'s flat arrays.
@@ -512,10 +604,10 @@ class CowenScheme {
   //      argmin is unique under that strict order, so folding promoted
   //      landmarks after the initial sample — any order at all — yields
   //      the same assignment nearest_landmark's ascending scan does.
-  //      Only the parent arrays are retained (Θ(n·|L|), the same order
-  //      as the tables they feed): they carry the landmark-entry ports
-  //      and the port-at-landmark labels. Weights/hops die with the
-  //      batch once folded.
+  //      Only the parent arrays are retained (Θ(n·|L|), the size of the
+  //      port matrix they feed): they carry the landmark ports and the
+  //      port-at-landmark labels. Weights/hops die with the batch once
+  //      folded.
   //
   //   2. Per-source truncated Dijkstras (truncated_ball, dijkstra.hpp)
   //      that stop at the source's nearest-landmark radius and hence
@@ -524,19 +616,18 @@ class CowenScheme {
   //      truncated run measures — instead of the materialized path's
   //      d(u,v) changes nothing: with an undirected graph and the
   //      commutative combine the per-root trees already rely on, the
-  //      two are order-equal. Cluster sizes accumulate through relaxed
-  //      atomic increments — a commutative integer sum, so the counts
-  //      are thread-count-independent — and promotion stays the same
-  //      ordered scan on the calling thread.
-  //
-  //   3. After the landmark set stabilizes, one more ball sweep emits
+  //      two are order-equal. Each round runs this sweep once, emitting
   //      (member u, source v, port) triples into per-block buffers whose
   //      concatenation order is fixed (blocks are indexed, sources
-  //      ascending within a block, settle order deterministic); a
-  //      counting sort by member — sized exactly by the final cluster
-  //      counts — then a per-member sort by source and a merge with the
-  //      ascending landmark entries reproduce fill_table's flat tables
-  //      byte for byte.
+  //      ascending within a block, settle order deterministic). Cluster
+  //      sizes are counted from the buffers, and promotion stays the same
+  //      ordered scan on the calling thread.
+  //
+  //   3. The final round's buffers become the ball tables: a counting
+  //      sort by member — sized exactly by the final cluster counts —
+  //      then a per-member sort by source reproduces fill_table's ball
+  //      rows byte for byte. The port matrix is filled straight from the
+  //      retained parent arrays.
   //
   // With promote = false the landmark set stays pinned (one round, no
   // promotion scan): that is apply_event's rebuild, equal to the
@@ -623,37 +714,47 @@ class CowenScheme {
       }
     };
 
-    // One counting/emitting pass over every eligible source's ball. The
-    // visitor sees (member, member's parent toward the source).
-    const auto for_each_ball = [&](auto&& visit_source_member,
-                                   std::size_t grain) {
-      parallel_for(
-          *pool_, 0, n,
-          [&](std::size_t vi) {
-            const NodeId v = static_cast<NodeId>(vi);
-            // Mirrors ball_radii: landmarks carry no ball, nor do nodes
-            // no landmark reaches.
-            if (is_landmark_[v]) return;
-            if (best_id[v] == kInvalidNode || !best_has[v]) return;
-            auto& scratch = detail::ball_scratch<W>();
-            truncated_ball(alg_, csr_, v, best_w[v], strict_balls_, scratch,
-                           slot_weight,
-                           [&](NodeId u, NodeId parent, const W&,
-                               std::uint32_t) {
-                             visit_source_member(v, u, parent);
-                           });
-          },
-          grain);
+    // The round's ball sweep over every eligible source, into per-block
+    // buffers whose concatenation order is schedule-independent.
+    struct BallEntry {
+      NodeId owner;
+      NodeId target;
+      Port port;
+    };
+    constexpr std::size_t kBlock = 256;
+    std::vector<std::vector<BallEntry>> block_entries((n + kBlock - 1) /
+                                                      kBlock);
+    const auto sweep_balls = [&] {
+      parallel_for(*pool_, 0, block_entries.size(), [&](std::size_t bi) {
+        auto& out = block_entries[bi];
+        out.clear();
+        const std::size_t lo = bi * kBlock;
+        const std::size_t hi = std::min(n, lo + kBlock);
+        for (std::size_t vi = lo; vi < hi; ++vi) {
+          const NodeId v = static_cast<NodeId>(vi);
+          // Mirrors ball_radii: landmarks carry no ball, nor do nodes no
+          // landmark reaches.
+          if (is_landmark_[v]) continue;
+          if (best_id[v] == kInvalidNode || !best_has[v]) continue;
+          auto& scratch = detail::ball_scratch<W>();
+          truncated_ball(alg_, csr_, v, best_w[v], strict_balls_, scratch,
+                         slot_weight,
+                         [&](NodeId u, NodeId parent, const W&,
+                             std::uint32_t) {
+                           out.push_back({u, v, csr_.port_to(u, parent)});
+                         });
+        }
+      });
     };
 
     // Promotion rounds, mirroring recompute_until_stable: fold fresh
-    // landmark trees → assignment → ball sweep for cluster counts →
+    // landmark trees → assignment → ball sweep and cluster counts →
     // ordered promotion scan.
     std::vector<NodeId> fresh;
     for (NodeId l = 0; l < n; ++l) {
       if (is_landmark_[l]) fresh.push_back(l);
     }
-    std::vector<std::uint32_t> counts(n, 0);
+    cluster_sizes_.assign(n, 0);
     for (;;) {
       sweep_landmarks(fresh);
       fresh.clear();
@@ -665,17 +766,15 @@ class CowenScheme {
                 is_landmark_[u] ? static_cast<NodeId>(u) : best_id[u];
           },
           /*grain=*/512);
-      std::fill(counts.begin(), counts.end(), 0);
-      for_each_ball(
-          [&](NodeId, NodeId u, NodeId) {
-            std::atomic_ref<std::uint32_t>(counts[u])
-                .fetch_add(1, std::memory_order_relaxed);
-          },
-          /*grain=*/16);
+      sweep_balls();
+      std::fill(cluster_sizes_.begin(), cluster_sizes_.end(), 0);
+      for (const auto& blk : block_entries) {
+        for (const BallEntry& e : blk) ++cluster_sizes_[e.owner];
+      }
       if (!promote) break;
       bool promoted = false;
       for (NodeId u = 0; u < n; ++u) {
-        if (!is_landmark_[u] && counts[u] > cluster_cap_) {
+        if (!is_landmark_[u] && cluster_sizes_[u] > cluster_cap_) {
           is_landmark_[u] = true;
           ++promoted_landmark_count_;
           fresh.push_back(u);
@@ -684,14 +783,7 @@ class CowenScheme {
       }
       if (!promoted) break;
     }
-    cluster_sizes_.assign(counts.begin(), counts.end());
-
-    // Final landmark list, ascending — the merge below interleaves these
-    // with the (disjoint: only non-landmarks have balls) ball targets.
-    std::vector<NodeId> landmarks;
-    for (NodeId l = 0; l < n; ++l) {
-      if (is_landmark_[l]) landmarks.push_back(l);
-    }
+    rank_landmarks();
 
     // First hop out of l_v toward v, walking v's parent chain in l_v's
     // tree — compute_port_at_landmark verbatim, against a parent array.
@@ -706,7 +798,8 @@ class CowenScheme {
     };
 
     port_at_landmark_.assign(n, kInvalidPort);
-    tables_.assign(n, {});
+    ball_tables_.assign(n, {});
+    landmark_ports_.clear();
     if (materialize_tables) {
       parallel_for(
           *pool_, 0, n,
@@ -718,34 +811,11 @@ class CowenScheme {
                 chain_port(v, lv, landmark_parent[landmark_slot[lv]]);
           },
           /*grain=*/64);
-
-      // Ball entries: one more sweep, into per-block buffers whose
-      // concatenation order is schedule-independent.
-      struct BallEntry {
-        NodeId owner;
-        NodeId target;
-        Port port;
-      };
-      constexpr std::size_t kBlock = 256;
-      const std::size_t nblocks = (n + kBlock - 1) / kBlock;
-      std::vector<std::vector<BallEntry>> block_entries(nblocks);
-      parallel_for(*pool_, 0, nblocks, [&](std::size_t bi) {
-        auto& out = block_entries[bi];
-        const std::size_t lo = bi * kBlock;
-        const std::size_t hi = std::min(n, lo + kBlock);
-        for (std::size_t vi = lo; vi < hi; ++vi) {
-          const NodeId v = static_cast<NodeId>(vi);
-          if (is_landmark_[v]) continue;
-          if (best_id[v] == kInvalidNode || !best_has[v]) continue;
-          auto& scratch = detail::ball_scratch<W>();
-          truncated_ball(alg_, csr_, v, best_w[v], strict_balls_, scratch,
-                         slot_weight,
-                         [&](NodeId u, NodeId parent, const W&,
-                             std::uint32_t) {
-                           out.push_back({u, v, csr_.port_to(u, parent)});
-                         });
-        }
+      fill_landmark_ports([&](std::size_t r) -> const std::vector<NodeId>& {
+        return landmark_parent[landmark_slot[landmarks_[r]]];
       });
+      landmark_parent.clear();
+      landmark_parent.shrink_to_fit();
 
       // Counting sort by owner; the final cluster counts size each
       // owner's segment exactly (same sweep, same members).
@@ -765,29 +835,15 @@ class CowenScheme {
       block_entries.clear();
       block_entries.shrink_to_fit();
 
-      // Per-owner: sort the ball segment by target and merge with the
-      // ascending landmark entries — the same ascending-target stream
-      // fill_table's scan appends.
+      // Per-owner: sort the ball segment by target — the same
+      // ascending-target stream fill_table's scan appends.
       parallel_for(
           *pool_, 0, n,
-          [&](std::size_t ui) {
-            const NodeId u = static_cast<NodeId>(ui);
+          [&](std::size_t u) {
             const auto seg0 = ball_sorted.begin() + offset[u];
             const auto seg1 = ball_sorted.begin() + offset[u + 1];
             std::sort(seg0, seg1);  // targets unique within a segment
-            auto& table = tables_[u];
-            table.reserve(static_cast<std::size_t>(seg1 - seg0) +
-                          landmarks.size());
-            auto it = seg0;
-            for (const NodeId l : landmarks) {
-              while (it != seg1 && it->first < l) table.push_back(*it++);
-              if (l == u) continue;
-              const std::vector<NodeId>& par =
-                  landmark_parent[landmark_slot[l]];
-              if (par[u] == kInvalidNode) continue;  // unreachable
-              table.emplace_back(l, csr_.port_to(u, par[u]));
-            }
-            while (it != seg1) table.push_back(*it++);
+            ball_tables_[u].assign(seg0, seg1);
           },
           /*grain=*/8);
     } else {
@@ -795,15 +851,15 @@ class CowenScheme {
       // second batched landmark sweep recomputes each tree transiently
       // for the port-at-landmark chain walks.
       std::vector<std::uint32_t> in_batch(n, kNoSlot);
-      for (std::size_t b0 = 0; b0 < landmarks.size(); b0 += batch) {
-        const std::size_t b1 = std::min(landmarks.size(), b0 + batch);
+      for (std::size_t b0 = 0; b0 < landmarks_.size(); b0 += batch) {
+        const std::size_t b1 = std::min(landmarks_.size(), b0 + batch);
         batch_trees.resize(b1 - b0);
         parallel_for(*pool_, 0, b1 - b0, [&](std::size_t i) {
-          detail::dijkstra_dispatch(alg_, csr_, landmarks[b0 + i],
+          detail::dijkstra_dispatch(alg_, csr_, landmarks_[b0 + i],
                                     batch_trees[i], slot_weight);
         });
         for (std::size_t i = 0; i < b1 - b0; ++i) {
-          in_batch[landmarks[b0 + i]] = static_cast<std::uint32_t>(i);
+          in_batch[landmarks_[b0 + i]] = static_cast<std::uint32_t>(i);
         }
         parallel_for(
             *pool_, 0, n,
@@ -817,36 +873,31 @@ class CowenScheme {
             },
             /*grain=*/64);
         for (std::size_t i = 0; i < b1 - b0; ++i) {
-          in_batch[landmarks[b0 + i]] = kNoSlot;
+          in_batch[landmarks_[b0 + i]] = kNoSlot;
         }
       }
     }
   }
 
-  // The (target v, port) entry of node u's table, if any: landmarks
-  // contribute wherever they are reachable (they carry no ball, so the
-  // two entry kinds are disjoint), non-landmarks where u ∈ B(v).
+  // The (target v, port) ball entry of node u's table, if any: u ∈ B(v)
+  // for a non-landmark v (landmarks carry no ball; their entries live in
+  // the port matrix).
   bool entry_port(NodeId u, NodeId v, const BallRadii& radius,
                   Port* out) const {
-    if (v == u) return false;
-    if (is_landmark_[v]) {
-      if (!trees_[v].reachable(u)) return false;
-      *out = csr_.port_to(u, trees_[v].parent[u]);
-      return true;
-    }
+    if (v == u || is_landmark_[v]) return false;
     if (!in_ball(trees_[u], v, radius)) return false;
     if (!trees_[v].reachable(u)) return false;
     *out = csr_.port_to(u, trees_[v].parent[u]);
     return true;
   }
 
-  // One node's table in a single ascending scan over the targets.
-  // Scanning targets in id order appends the flat table already sorted —
-  // no per-entry allocation, no rebalancing — and the encoded tables stay
+  // One node's ball row in a single ascending scan over the targets.
+  // Scanning targets in id order appends the flat row already sorted —
+  // no per-entry allocation, no rebalancing — and the encoded rows stay
   // schedule-independent. Port lookups go through the CSR view.
   void fill_table(NodeId u, const BallRadii& radius) {
     const std::size_t n = graph_->node_count();
-    auto& table = tables_[u];
+    auto& table = ball_tables_[u];
     table.clear();
     for (NodeId v = 0; v < n; ++v) {
       Port p;
@@ -870,11 +921,15 @@ class CowenScheme {
   void build_tables() {
     const std::size_t n = graph_->node_count();
     const auto radius = ball_radii();
-    tables_.assign(n, {});
+    ball_tables_.assign(n, {});
     parallel_for(
         *pool_, 0, n,
         [&](std::size_t i) { fill_table(static_cast<NodeId>(i), radius); },
         /*grain=*/8);
+    rank_landmarks();
+    fill_landmark_ports([this](std::size_t r) -> const std::vector<NodeId>& {
+      return trees_[landmarks_[r]].parent;
+    });
     port_at_landmark_.assign(n, kInvalidPort);
     parallel_for(
         *pool_, 0, n,
@@ -893,7 +948,13 @@ class CowenScheme {
   std::vector<bool> is_landmark_;
   std::vector<NodeId> landmark_of_;
   std::vector<std::size_t> cluster_sizes_;
-  std::vector<std::vector<std::pair<NodeId, Port>>> tables_;
+  // Landmarks in ascending id order (index = rank) and the node → rank map.
+  std::vector<NodeId> landmarks_;
+  std::vector<std::uint32_t> landmark_rank_;
+  // Per-node ball rows (sorted by target) and the row-major n × |L|
+  // landmark port matrix — together, table(u).
+  std::vector<std::vector<std::pair<NodeId, Port>>> ball_tables_;
+  std::vector<Port> landmark_ports_;
   std::vector<Port> port_at_landmark_;
   std::size_t cluster_cap_ = 0;
   std::size_t initial_landmark_count_ = 0;

@@ -16,9 +16,10 @@
 //      landmark sample, per-node vicinity balls via the streaming
 //      truncated-Dijkstra machinery of PR 9, stretch ≤ 3 by Theorem 3.
 //   2. Draw a seeded label permutation (never the identity) and re-key
-//      every routing structure by label: node tables become sorted
-//      (label, port) rows, and the per-label landmark/port arrays are
-//      indexed by label.
+//      every routing structure by label: node ball rows become sorted
+//      (label, port) rows, and the per-label landmark/port/rank arrays
+//      are indexed by label. The landmark port matrix needs no re-keying:
+//      it is indexed by node and landmark rank, both label-free.
 //   3. Partition the name→label dictionary into hash buckets
 //      (fib_dict_bucket, shared with the FIB loader/walkers) — the
 //      hash-partitioned distributed dictionary of the TZ scheme, with
@@ -33,8 +34,9 @@
 // over from the underlying Cowen scheme verbatim.
 //
 // Churn: apply_event delegates to the Cowen repair and *translates* the
-// resulting FibDelta into label space (rows re-keyed and re-sorted,
-// landmark slot patches re-indexed from node to label). Names and
+// resulting FibDelta into label space (ball rows re-keyed and re-sorted,
+// landmark slot patches re-indexed from node to label; column patches
+// pass through unchanged). Names and
 // labels are stable across weight churn, so the label map and
 // dictionary never appear in a translated delta; their patch sections
 // exist for operator-driven relabeling and are exercised directly by
@@ -81,6 +83,7 @@ class TzNameIndependentScheme {
     // The permutation draws from the same rng stream, after the landmark
     // sample — one seed reproduces both.
     s.labels_ = random_label_map(g.node_count(), rng);
+    s.rank_landmark_labels();
     s.rebuild_labeled_tables();
     s.rebuild_dictionary();
     return s;
@@ -118,8 +121,9 @@ class TzNameIndependentScheme {
   std::size_t local_memory_bits(NodeId u) const {
     BitWriter bits;
     const std::size_t n = labels_.size();
-    bits.write_varint(labeled_tables_[u].size());
-    for (const auto& [lbl, port] : labeled_tables_[u]) {
+    const auto entries = labeled_table(u);
+    bits.write_varint(entries.size());
+    for (const auto& [lbl, port] : entries) {
       bits.write_bounded(lbl, n);
       bits.write_bounded(port, std::max<std::size_t>(graph().degree(u), 1));
     }
@@ -178,9 +182,10 @@ class TzNameIndependentScheme {
   }
 
   // Churn repair: delegate to the Cowen repair, then translate its
-  // FibDelta into label space. Row patches are re-keyed (node-id keys →
-  // labels) and re-sorted; landmark slot patches move from node index to
-  // label index and their values from landmark node to landmark label.
+  // FibDelta into label space. Ball row patches are re-keyed (node-id
+  // keys → labels) and re-sorted; landmark slot patches move from node
+  // index to label index and their values from landmark node to landmark
+  // label; column patches (node × rank) pass through as they are.
   // The repaired scheme stays byte-identical to a fresh build on the
   // post-event weights with the same labels (pinned by test_fib_delta).
   CowenRepairStats apply_event(EdgeId e, const W& old_w, const W& new_w,
@@ -195,13 +200,16 @@ class TzNameIndependentScheme {
           const NodeId v = p.row;
           relabel_table(v);
           row.clear();
-          for (const auto& [lbl, port] : labeled_tables_[v]) {
+          for (const auto& [lbl, port] : labeled_ball_tables_[v]) {
             row.push_back(fib_pack_entry(lbl, port));
           }
           translated.patches.push_back(
               fib_patch_row_u64(fib_section::kCowenRows, v, row));
           break;
         }
+        case fib_section::kCowenLandmarkCols:
+          translated.patches.push_back(p);
+          break;
         case fib_section::kCowenLandmark: {
           const NodeId v = p.row;
           const NodeId lm = cowen_.landmark_of(v);
@@ -219,7 +227,7 @@ class TzNameIndependentScheme {
           break;
         }
         default:
-          // The Cowen repair emits only the three sections above; seeing
+          // The Cowen repair emits only the four sections above; seeing
           // anything else means the contract changed under us.
           translated.recompile = true;
           break;
@@ -230,13 +238,42 @@ class TzNameIndependentScheme {
   }
 
   // --- compile surface ---------------------------------------------
-  // Deliberately *not* named table/landmark_of/port_at_landmark: those
-  // names select the Cowen-shaped compile_fib adapter (fib/compile.hpp),
-  // which would serialize a kCowen arena and lose the label layer. The
-  // TZ-shaped adapter matches on these accessors instead.
-  const std::vector<std::pair<std::uint32_t, Port>>& labeled_table(
+  // Deliberately *not* named ball_table/landmark_of/port_at_landmark:
+  // those names select the Cowen-shaped compile_fib adapter
+  // (fib/compile.hpp), which would serialize a kCowen arena and lose the
+  // label layer. The TZ-shaped adapter matches on these accessors
+  // instead.
+  //
+  // Node u's whole logical table in label space — its ball entries and
+  // a landmark entry wherever u reaches the landmark — ascending by
+  // label, assembled by value from the two stored halves.
+  std::vector<std::pair<std::uint32_t, Port>> labeled_table(NodeId u) const {
+    const auto& ball = labeled_ball_tables_[u];
+    const auto& ports = cowen_.landmark_ports();
+    if (ports.empty()) return ball;
+    const std::size_t lc = cowen_.landmark_count();
+    std::vector<std::pair<std::uint32_t, Port>> out;
+    out.reserve(ball.size() + lc);
+    auto it = ball.begin();
+    for (const auto& [lbl, r] : landmarks_by_label_) {
+      while (it != ball.end() && it->first < lbl) out.push_back(*it++);
+      const Port p = ports[u * lc + r];
+      if (p != kInvalidPort) out.emplace_back(lbl, p);
+    }
+    out.insert(out.end(), it, ball.end());
+    return out;
+  }
+  // u's ball row re-keyed by label (no landmark labels), sorted.
+  const std::vector<std::pair<std::uint32_t, Port>>& labeled_ball_table(
       NodeId u) const {
-    return labeled_tables_[u];
+    return labeled_ball_tables_[u];
+  }
+  // Landmark rank of the node labeled `lbl` (kNoLandmarkRank if none).
+  std::uint32_t landmark_rank_at(std::uint32_t lbl) const {
+    return cowen_.landmark_rank(labels_.node_of(make_label(lbl)));
+  }
+  const std::vector<Port>& landmark_ports() const {
+    return cowen_.landmark_ports();
   }
   std::uint32_t label_of_node(NodeId v) const {
     return labels_.label_of(v).value;
@@ -273,8 +310,18 @@ class TzNameIndependentScheme {
     return kInvalidLabel;
   }
 
+  // u's entry toward label lbl: one matrix load for a landmark label, a
+  // binary search of u's labeled ball row otherwise.
   const Port* labeled_lookup(NodeId u, Label lbl) const {
-    const auto& t = labeled_tables_[u];
+    if (lbl.value >= labels_.size()) return nullptr;  // kInvalidLabel
+    const std::uint32_t r = landmark_rank_at(lbl.value);
+    if (r != kNoLandmarkRank) {
+      const auto& ports = cowen_.landmark_ports();
+      if (ports.empty()) return nullptr;
+      const Port* p = &ports[u * cowen_.landmark_count() + r];
+      return *p != kInvalidPort ? p : nullptr;
+    }
+    const auto& t = labeled_ball_tables_[u];
     const auto it = std::lower_bound(
         t.begin(), t.end(), lbl.value,
         [](const std::pair<std::uint32_t, Port>& e, std::uint32_t v) {
@@ -284,17 +331,30 @@ class TzNameIndependentScheme {
   }
 
   void relabel_table(NodeId v) {
-    auto& out = labeled_tables_[v];
+    auto& out = labeled_ball_tables_[v];
     out.clear();
-    for (const auto& [target, port] : cowen_.table(v)) {
+    for (const auto& [target, port] : cowen_.ball_table(v)) {
       out.emplace_back(labels_.label_of(target).value, port);
     }
     std::sort(out.begin(), out.end());
   }
 
   void rebuild_labeled_tables() {
-    labeled_tables_.resize(labels_.size());
+    labeled_ball_tables_.resize(labels_.size());
     for (NodeId v = 0; v < labels_.size(); ++v) relabel_table(v);
+  }
+
+  // (label, rank) of every landmark, ascending by label: the order
+  // labeled_table merges the matrix entries in.
+  void rank_landmark_labels() {
+    landmarks_by_label_.clear();
+    for (NodeId v = 0; v < labels_.size(); ++v) {
+      const std::uint32_t r = cowen_.landmark_rank(v);
+      if (r != kNoLandmarkRank) {
+        landmarks_by_label_.emplace_back(labels_.label_of(v).value, r);
+      }
+    }
+    std::sort(landmarks_by_label_.begin(), landmarks_by_label_.end());
   }
 
   void rebuild_dictionary() {
@@ -309,8 +369,10 @@ class TzNameIndependentScheme {
 
   CowenScheme<A> cowen_;
   LabelMap labels_;
-  // Per-node ball tables re-keyed by label, sorted by label.
-  std::vector<std::vector<std::pair<std::uint32_t, Port>>> labeled_tables_;
+  // Per-node ball rows re-keyed by label, sorted by label.
+  std::vector<std::vector<std::pair<std::uint32_t, Port>>> labeled_ball_tables_;
+  // (label, rank) per landmark, ascending by label.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> landmarks_by_label_;
   // Hash-partitioned name dictionary; bucket b is charged to node b.
   std::vector<std::vector<std::uint64_t>> dict_buckets_;
 };

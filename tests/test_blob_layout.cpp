@@ -1,11 +1,11 @@
-// Golden-file pin of the on-disk "CPRFIB05" arena layout.
+// Golden-file pin of the on-disk "CPRFIB06" arena layout.
 //
 // ArenaStore publishes these blobs as files that *other processes* —
 // possibly running older or newer builds — mmap and serve, so the byte
 // layout is a wire format now, not an implementation detail. This test
 // builds a small hand-specified Cowen arena (and its kTz twin) and
-// compares it byte-for-byte against tests/golden/cowen_small_v5.hex
-// (tz_small_v5.hex); it also spells out the header field offsets,
+// compares it byte-for-byte against tests/golden/cowen_small_v6.hex
+// (tz_small_v6.hex); it also spells out the header field offsets,
 // little-endian encoding, and 64-byte section alignment as direct
 // assertions, so a diff here tells the reader exactly which layout
 // promise broke. Any intentional change to the format must bump the
@@ -18,7 +18,8 @@
 // today's loader must keep opening, serving and resealing yesterday's
 // bytes. cowen_small_v2.hex has no Eytzinger mirror (binary-search
 // path); cowen_small_v3.hex and cowen_small_v4.hex (the kTz arena)
-// carry FNV-1a payload checksums.
+// carry FNV-1a payload checksums; cowen_small_v5.hex and tz_small_v5.hex
+// carry the landmark entries in their rows (no columns).
 #include "fib/fib_delta.hpp"
 #include "fib/flat_fib.hpp"
 #include "fib/forward_engine.hpp"
@@ -42,8 +43,12 @@ namespace {
 #endif
 
 const std::string kGoldenPath =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v5.hex";
+    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v6.hex";
 const std::string kGoldenTzPath =
+    std::string(CPR_GOLDEN_DIR) + "/tz_small_v6.hex";
+const std::string kGoldenV5Path =
+    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v5.hex";
+const std::string kGoldenTzV5Path =
     std::string(CPR_GOLDEN_DIR) + "/tz_small_v5.hex";
 const std::string kGoldenV2Path =
     std::string(CPR_GOLDEN_DIR) + "/cowen_small_v2.hex";
@@ -53,10 +58,11 @@ const std::string kGoldenV4Path =
     std::string(CPR_GOLDEN_DIR) + "/cowen_small_v4.hex";
 
 // The golden arena: a 3-node path 0-1-2 with fully hand-written Cowen
-// sections (capacity 2 per row, node 1 as everyone's landmark). Every
-// byte of the result is determined by this function and the format —
-// no scheme construction, no RNG — so the golden file pins exactly the
-// serialization layer.
+// sections (capacity 2 per row, node 1 as everyone's landmark, rank 0).
+// Nodes 0 and 2 reach the landmark through their one-port columns; node
+// 1's ball row keeps its two neighbors. Every byte of the result is
+// determined by this function and the format — no scheme construction,
+// no RNG — so the golden file pins exactly the serialization layer.
 FlatFib build_golden_fib() {
   Graph g(3);
   g.add_edge(0, 1);  // edge 0: port 0 at both ends
@@ -64,29 +70,35 @@ FlatFib build_golden_fib() {
   FibBuilder b(FibKind::kCowen, 3);
   b.add_topology(g);
   const std::vector<std::uint32_t> row_off = {0, 2, 4, 6};  // capacity CSR
-  const std::vector<std::uint32_t> row_len = {1, 2, 1};
+  const std::vector<std::uint32_t> row_len = {0, 2, 0};
   const std::vector<std::uint64_t> rows = {
-      fib_pack_entry(1, 0), 0,                          // node 0 (+slack)
-      fib_pack_entry(0, 0), fib_pack_entry(2, 1),       // node 1
-      fib_pack_entry(1, 0), 0,                          // node 2 (+slack)
+      0, 0,                                        // node 0 (all slack)
+      fib_pack_entry(0, 0), fib_pack_entry(2, 1),  // node 1
+      0, 0,                                        // node 2 (all slack)
   };
   const std::vector<std::uint32_t> landmark = {1, 1, 1};
   const std::vector<std::uint32_t> landmark_port = {0, kInvalidPort, 0};
+  const std::vector<std::uint32_t> cols = {0, kInvalidPort, 0};  // |L| = 1
+  const std::vector<std::uint32_t> rank = {kNoLandmarkRank, 0,
+                                           kNoLandmarkRank};
   b.add_array(fib_section::kCowenRowOff, row_off);
   b.add_array(fib_section::kCowenRowLen, row_len);
   b.add_array(fib_section::kCowenRows, rows);
   b.add_array(fib_section::kCowenLandmark, landmark);
   b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
+  b.add_array(fib_section::kCowenLandmarkCols, cols);
+  b.add_array(fib_section::kCowenLandmarkRank, rank);
   return b.finish();
 }
 
-// The v4 golden arena: the same 3-node path, lifted to the
-// name-independent kTz kind with the hand-picked label permutation
-// node 0 → 2, node 1 → 0, node 2 → 1. Rows are re-keyed (and re-sorted)
-// by label, the landmark arrays are indexed by label, and the two new
-// sections pin the v4 wire format: the label map and the bucketed
-// name → label dictionary (one bucket of capacity 4 at n = 3, exactly
-// what fib_dict_bucket_count sizes).
+// The kTz golden arena: the same 3-node path, lifted to the
+// name-independent kind with the hand-picked label permutation
+// node 0 → 2, node 1 → 0, node 2 → 1. Ball rows are re-keyed (and
+// re-sorted) by label, the landmark and rank arrays are indexed by
+// label, the columns stay indexed by node, and the label sections pin
+// the v4 wire format: the label map and the bucketed name → label
+// dictionary (one bucket of capacity 4 at n = 3, exactly what
+// fib_dict_bucket_count sizes).
 FlatFib build_golden_tz_fib() {
   Graph g(3);
   g.add_edge(0, 1);
@@ -94,11 +106,11 @@ FlatFib build_golden_tz_fib() {
   FibBuilder b(FibKind::kTz, 3);
   b.add_topology(g);
   const std::vector<std::uint32_t> row_off = {0, 2, 4, 6};  // capacity CSR
-  const std::vector<std::uint32_t> row_len = {1, 2, 1};
+  const std::vector<std::uint32_t> row_len = {0, 2, 0};
   const std::vector<std::uint64_t> rows = {
-      fib_pack_entry(0, 0), 0,                     // node 0: landmark's label
+      0, 0,                                        // node 0
       fib_pack_entry(1, 1), fib_pack_entry(2, 0),  // node 1: both neighbors
-      fib_pack_entry(0, 0), 0,                     // node 2
+      0, 0,                                        // node 2
   };
   // Indexed by label: every label's landmark is node 1 (label 0); the
   // port toward it from node_of(label) — node 1 itself has none.
@@ -110,6 +122,9 @@ FlatFib build_golden_tz_fib() {
       fib_pack_entry(0, 2), fib_pack_entry(1, 0), fib_pack_entry(2, 1),
       kFibDictEmpty,
   };
+  const std::vector<std::uint32_t> cols = {0, kInvalidPort, 0};  // by node
+  const std::vector<std::uint32_t> rank = {0, kNoLandmarkRank,
+                                           kNoLandmarkRank};  // by label
   b.add_array(fib_section::kCowenRowOff, row_off);
   b.add_array(fib_section::kCowenRowLen, row_len);
   b.add_array(fib_section::kCowenRows, rows);
@@ -117,6 +132,8 @@ FlatFib build_golden_tz_fib() {
   b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
   b.add_array(fib_section::kLabelMap, label_of);
   b.add_array(fib_section::kDictionary, dictionary);
+  b.add_array(fib_section::kCowenLandmarkCols, cols);
+  b.add_array(fib_section::kCowenLandmarkRank, rank);
   return b.finish();
 }
 
@@ -184,11 +201,11 @@ void expect_golden(std::span<const std::uint8_t> blob,
   }
   const std::vector<std::uint8_t> golden = read_golden(path);
   ASSERT_EQ(blob.size(), golden.size())
-      << "CPRFIB05 blob size changed — this is a wire-format break; bump "
+      << "CPRFIB06 blob size changed — this is a wire-format break; bump "
          "the version and regenerate the golden file deliberately";
   for (std::size_t i = 0; i < golden.size(); ++i) {
     ASSERT_EQ(blob[i], golden[i])
-        << "CPRFIB05 byte " << i << " changed — wire-format break; bump "
+        << "CPRFIB06 byte " << i << " changed — wire-format break; bump "
            "the version and regenerate the golden file deliberately";
   }
 }
@@ -239,11 +256,14 @@ TEST(BlobLayout, V2BlobStillOpensAndServes) {
   expect_serves_path(fib);
 }
 
-// The committed Cowen goldens — today's v5 and the FNV-1a v3 compat pin
-// — open under today's validator, report their own version and route.
+// The committed Cowen goldens — today's v6, the v5 compat pin (landmark
+// entries in the rows) and the FNV-1a v3 one — open under today's
+// validator, report their own version and route; only v6 carries the
+// landmark columns.
 TEST(BlobLayout, GoldenBytesReopenAndServe) {
   for (const auto& [path, version] :
-       {std::pair{kGoldenPath, 5u}, std::pair{kGoldenV3Path, 3u}}) {
+       {std::pair{kGoldenPath, 6u}, std::pair{kGoldenV5Path, 5u},
+        std::pair{kGoldenV3Path, 3u}}) {
     SCOPED_TRACE(path);
     const std::vector<std::uint8_t> golden = read_golden(path);
     const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
@@ -251,33 +271,73 @@ TEST(BlobLayout, GoldenBytesReopenAndServe) {
     EXPECT_EQ(fib.kind(), FibKind::kCowen);
     EXPECT_EQ(fib.node_count(), 3u);
     EXPECT_NE(fib.cowen().eyt, nullptr);
+    EXPECT_EQ(fib.cowen().cols != nullptr, version >= 6);
     expect_serves_path(fib);
   }
 }
 
-// The v4 compat pin: a kTz arena sealed with FNV-1a keeps opening and
-// serving names through its dictionary.
-TEST(BlobLayout, V4TzBlobStillOpensAndServes) {
-  const std::vector<std::uint8_t> golden = read_golden(kGoldenV4Path);
-  const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
-  EXPECT_EQ(fib.blob_version(), 4u);
-  EXPECT_EQ(fib.kind(), FibKind::kTz);
-  expect_serves_path(fib);
+// v6 moved the landmark entries out of the rows, not the routes: the v6
+// golden and the v5 compat pin of the same arena forward every pair of
+// the path graph along the same path, on both dispatch paths — and the
+// v5 arena, which has no columns, refuses a column patch untouched.
+TEST(BlobLayout, V6ServesLikeTheV5GoldenItReplaces) {
+  const std::vector<std::uint8_t> v5 = read_golden(kGoldenV5Path);
+  FlatFib old_layout = FlatFib::from_blob(v5);
+  const FlatFib fib = build_golden_fib();
+  std::vector<std::pair<NodeId, NodeId>> queries;
+  for (NodeId s = 0; s < 3; ++s) {
+    for (NodeId t = 0; t < 3; ++t) queries.emplace_back(s, t);
+  }
+  for (const FibDispatch mode : {FibDispatch::kScalar, FibDispatch::kSimd}) {
+    FibBatchOptions opt;
+    opt.dispatch = mode;
+    const FibBatchOutput a = forward_batch(old_layout, queries, opt);
+    const FibBatchOutput b = forward_batch(fib, queries, opt);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(a.results[i].delivered, b.results[i].delivered) << i;
+      const auto pa = a.path(i);
+      const auto pb = b.path(i);
+      EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
+          << "query " << i << " dispatch " << static_cast<int>(mode);
+    }
+  }
+  FibDelta delta;
+  delta.patches.push_back(fib_patch_row_u64(fib_section::kCowenLandmarkCols,
+                                            0, {fib_pack_entry(0, 0)}));
+  EXPECT_FALSE(old_layout.apply_delta(delta));
+  const auto after = old_layout.blob();
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), v5.begin(), v5.end()));
 }
 
-// v5 changed the checksum and nothing else: today's blob, stamped back
-// to the compat magic and resealed (which picks FNV-1a from the magic),
-// is the committed v3 / v4 golden byte for byte.
+// The v4 and v5 kTz compat pins keep opening and serving names through
+// their dictionaries, with the landmark entries in their rows.
+TEST(BlobLayout, V4TzBlobStillOpensAndServes) {
+  for (const auto& [path, version] :
+       {std::pair{kGoldenV4Path, 4u}, std::pair{kGoldenTzV5Path, 5u}}) {
+    SCOPED_TRACE(path);
+    const std::vector<std::uint8_t> golden = read_golden(path);
+    const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
+    EXPECT_EQ(fib.blob_version(), version);
+    EXPECT_EQ(fib.kind(), FibKind::kTz);
+    EXPECT_EQ(fib.cowen().cols, nullptr);
+    expect_serves_path(fib);
+  }
+}
+
+// v5 changed the checksum and nothing else: the committed v5 golden,
+// stamped back to the compat magic and resealed (which picks FNV-1a from
+// the magic), is the committed v3 / v4 golden byte for byte.
 TEST(BlobLayout, V5DiffersFromCompatGoldensOnlyInMagicAndChecksum) {
   const struct {
-    FlatFib fib;
+    std::string v5_path;
     std::string compat_path;
     char digit;
-  } cases[] = {{build_golden_fib(), kGoldenV3Path, '3'},
-               {build_golden_tz_fib(), kGoldenV4Path, '4'}};
+  } cases[] = {{kGoldenV5Path, kGoldenV3Path, '3'},
+               {kGoldenTzV5Path, kGoldenV4Path, '4'}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.compat_path);
-    const auto blob = c.fib.blob();
+    const std::vector<std::uint8_t> blob = read_golden(c.v5_path);
+    ASSERT_EQ(FlatFib::from_blob(blob).blob_version(), 5u);
     const std::vector<std::uint8_t> golden = read_golden(c.compat_path);
     ASSERT_EQ(blob.size(), golden.size());
     for (std::size_t i = 0; i < golden.size(); ++i) {
@@ -300,7 +360,8 @@ TEST(BlobLayout, V5DiffersFromCompatGoldensOnlyInMagicAndChecksum) {
 TEST(BlobLayout, CompatGoldensResealInTheirOwnVersion) {
   for (const auto& [path, version] :
        {std::pair{kGoldenV2Path, 2u}, std::pair{kGoldenV3Path, 3u},
-        std::pair{kGoldenV4Path, 4u}}) {
+        std::pair{kGoldenV4Path, 4u}, std::pair{kGoldenV5Path, 5u},
+        std::pair{kGoldenTzV5Path, 5u}}) {
     SCOPED_TRACE(path);
     const std::vector<std::uint8_t> golden = read_golden(path);
     FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
@@ -331,25 +392,26 @@ TEST(BlobLayout, CompatGoldensResealInTheirOwnVersion) {
   }
 }
 
-// The v5 kTz pin: same update discipline as the Cowen golden.
+// The v6 kTz pin: same update discipline as the Cowen golden.
 TEST(BlobLayout, TzGoldenFileMatchesByteForByte) {
   expect_golden(build_golden_tz_fib().blob(), kGoldenTzPath);
 }
 
-// v5 kTz header + directory shape, and the name-addressed routes: names
+// v6 kTz header + directory shape, and the name-addressed routes: names
 // resolve through the dictionary, forwarding runs in label space, and
 // the path graph still delivers 0 → 2 through the landmark at node 1.
 TEST(BlobLayout, TzGoldenBytesReopenAndServe) {
   const FlatFib fib = build_golden_tz_fib();
   const auto blob = fib.blob();
   ASSERT_GE(blob.size(), 40u);
-  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB05", 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB06", 8), 0);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 8), 6u);  // kind = kTz
-  // 3 topology + 5 cowen + label map + dictionary + synthesized mirror.
-  EXPECT_EQ(read_le<std::uint32_t>(blob, 16), 11u);
+  // 3 topology + 5 cowen + label map + dictionary + columns + ranks +
+  // synthesized mirror.
+  EXPECT_EQ(read_le<std::uint32_t>(blob, 16), 13u);
 
   const FlatFib reopened = FlatFib::from_blob({blob.data(), blob.size()});
-  EXPECT_EQ(reopened.blob_version(), 5u);
+  EXPECT_EQ(reopened.blob_version(), 6u);
   EXPECT_EQ(reopened.kind(), FibKind::kTz);
   expect_serves_path(reopened);
 }
@@ -378,11 +440,12 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
   // reserved u32 | payload_bytes u64 | checksum u64 — 40 bytes, all
   // little-endian.
   ASSERT_GE(blob.size(), 40u);
-  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB05", 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB06", 8), 0);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 8), 3u);   // kind = kCowen
   EXPECT_EQ(read_le<std::uint32_t>(blob, 12), 3u);  // node_count
   const std::uint32_t sections = read_le<std::uint32_t>(blob, 16);
-  EXPECT_EQ(sections, 9u);  // 3 topology + 5 cowen + synthesized mirror
+  // 3 topology + 5 cowen + columns + ranks + synthesized mirror.
+  EXPECT_EQ(sections, 11u);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 20), 0u);  // reserved
   const std::uint64_t payload_bytes = read_le<std::uint64_t>(blob, 24);
   EXPECT_EQ(40u + 24u * sections + payload_bytes +
@@ -399,6 +462,7 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
       fib_section::kTopoEdge,          fib_section::kCowenRowOff,
       fib_section::kCowenRowLen,       fib_section::kCowenRows,
       fib_section::kCowenLandmark,     fib_section::kCowenLandmarkPort,
+      fib_section::kCowenLandmarkCols, fib_section::kCowenLandmarkRank,
       fib_section::kCowenRowsEyt,
   };
   std::uint64_t prev_end = 40 + 24ull * sections;
@@ -413,14 +477,23 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
     prev_end = offset + read_le<std::uint64_t>(blob, e + 16);
   }
 
-  // Endianness of the payload itself: the first Cowen row entry is
-  // fib_pack_entry(1, 0) = key 1 in the high u32, port 0 in the low —
-  // stored little-endian, so bytes 4..7 of the entry read 01 00 00 00.
+  // Endianness of the payload itself: node 1's second row entry (slot 3
+  // of the capacity CSR) is fib_pack_entry(2, 1) = key 2 in the high
+  // u32, port 1 in the low — stored little-endian, so the entry reads
+  // 01 00 00 00 02 00 00 00.
   const std::uint64_t rows_off = read_le<std::uint64_t>(blob, 40 + 24ull * 5 + 8);
-  EXPECT_EQ(read_le<std::uint64_t>(blob, rows_off), fib_pack_entry(1, 0));
-  const std::uint8_t expect_bytes[8] = {0, 0, 0, 0, 1, 0, 0, 0};
-  EXPECT_EQ(std::memcmp(blob.data() + rows_off, expect_bytes, 8), 0)
+  EXPECT_EQ(read_le<std::uint64_t>(blob, rows_off + 24), fib_pack_entry(2, 1));
+  const std::uint8_t expect_bytes[8] = {1, 0, 0, 0, 2, 0, 0, 0};
+  EXPECT_EQ(std::memcmp(blob.data() + rows_off + 24, expect_bytes, 8), 0)
       << "packed row entries must serialize little-endian";
+
+  // The columns: node u's |L| = 1 ports at u·|L|, little-endian u32.
+  const std::size_t cols_entry = 40 + 24ull * 8;
+  const std::uint64_t cols_off = read_le<std::uint64_t>(blob, cols_entry + 8);
+  EXPECT_EQ(read_le<std::uint64_t>(blob, cols_entry + 16), 12u);
+  EXPECT_EQ(read_le<std::uint32_t>(blob, cols_off), 0u);
+  EXPECT_EQ(read_le<std::uint32_t>(blob, cols_off + 4), kInvalidPort);
+  EXPECT_EQ(read_le<std::uint32_t>(blob, cols_off + 8), 0u);
 }
 
 }  // namespace

@@ -16,10 +16,12 @@
 #include "algebra/primitives.hpp"
 #include "graph/generators.hpp"
 #include "scheme/cowen.hpp"
+#include "scheme/tz_name_independent.hpp"
 #include "test_support.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cpr {
@@ -314,6 +316,84 @@ TEST(CowenStream, StatsOnlyModeSkipsTablesKeepsLabelsExact) {
     ASSERT_EQ(stats_only.cluster_size(u), with_tables.cluster_size(u));
     ASSERT_EQ(stats_only.port_at_landmark(u), with_tables.port_at_landmark(u));
     EXPECT_TRUE(stats_only.table(u).empty());
+  }
+}
+
+// ---- The logical table API ----
+//
+// The scheme stores each table in two halves (a ball row per node and
+// the n × |L| landmark port matrix), but table(u) keeps meaning the whole
+// Theorem 3 table: a (target, port) entry for every reachable landmark
+// and for every v with u ∈ B(v), ascending by target. The oracle below
+// derives that table from the materialized trees alone, the way
+// fill_table did before the split.
+template <RoutingAlgebra A>
+std::vector<std::pair<NodeId, Port>> logical_table_oracle(
+    const A& alg, const Graph& g, const CowenScheme<A>& s, NodeId u) {
+  std::vector<std::pair<NodeId, Port>> out;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (v == u || !s.tree(v).reachable(u)) continue;
+    bool entry = s.is_landmark(v);
+    const NodeId lv = s.landmark_of(v);
+    if (!entry && lv != kInvalidNode && s.tree(lv).has_weight(v) &&
+        s.tree(u).has_weight(v)) {
+      const auto& d = s.tree(u).weights[v];
+      const auto& radius = s.tree(lv).weights[v];
+      entry = s.strict_balls() ? alg.less(d, radius) : leq(alg, d, radius);
+    }
+    if (entry) out.emplace_back(v, g.port_to(u, s.tree(v).parent[u]));
+  }
+  return out;
+}
+
+template <RoutingAlgebra A>
+void expect_logical_tables(const A& alg, std::uint64_t seed, std::size_t n,
+                           double p) {
+  auto inst = test::seeded_instance(alg, seed, n, p);
+  CowenOptions materialized;
+  materialized.construction = CowenOptions::Construction::kMaterialized;
+  Rng r1(seed), r2(seed);
+  const auto oracle =
+      CowenScheme<A>::build(alg, inst.graph, inst.weights, r1, materialized);
+  const auto streamed =
+      CowenScheme<A>::build(alg, inst.graph, inst.weights, r2);
+  std::size_t landmark_entries = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto want = logical_table_oracle(alg, inst.graph, oracle, u);
+    ASSERT_EQ(oracle.table(u), want) << "materialized u=" << u;
+    ASSERT_EQ(streamed.table(u), want) << "streamed u=" << u;
+    for (const auto& [v, port] : want) {
+      landmark_entries += oracle.is_landmark(v) ? 1 : 0;
+    }
+    // The stored halves: no landmark target in a ball row.
+    for (const auto& [v, port] : streamed.ball_table(u)) {
+      ASSERT_FALSE(streamed.is_landmark(v)) << "u=" << u << " v=" << v;
+    }
+  }
+  EXPECT_GT(landmark_entries, 0u);
+
+  // The TZ layer's labeled_table is the same table re-keyed by label.
+  TzOptions tz_opt;
+  tz_opt.cowen = materialized;
+  Rng r3(seed);
+  const auto tz = TzNameIndependentScheme<A>::build(alg, inst.graph,
+                                                    inst.weights, r3, tz_opt);
+  for (NodeId u = 0; u < n; ++u) {
+    std::vector<std::pair<std::uint32_t, Port>> want;
+    for (const auto& [v, port] :
+         logical_table_oracle(alg, inst.graph, tz.cowen(), u)) {
+      want.emplace_back(tz.labels().label_of(v).value, port);
+    }
+    std::sort(want.begin(), want.end());
+    ASSERT_EQ(tz.labeled_table(u), want) << "tz u=" << u;
+  }
+}
+
+TEST(CowenTables, TableIsBallAndLandmarkEntriesLikeTheOracle) {
+  for (std::uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(seed);
+    expect_logical_tables(ShortestPath{16}, seed, 40, 0.12);
+    expect_logical_tables(WidestPath{8}, seed, 30, 0.18);
   }
 }
 

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -238,7 +239,7 @@ TEST(FibBlob, EveryByteFlipIsRejected) {
 // blob must reject every single-byte flip just like a Cowen one.
 TEST(FibBlob, TzEveryByteFlipIsRejected) {
   const FlatFib fib = sample_tz_fib();
-  ASSERT_EQ(fib.blob_version(), 5u);
+  ASSERT_EQ(fib.blob_version(), 6u);
   expect_every_byte_flip_rejected(fib);
 }
 
@@ -319,6 +320,9 @@ FlatFib reassemble(const FlatFib& fib, const Graph& g, bool move_in) {
                 t.dict + t.dict_bucket_count * t.dict_bucket_cap);
     add(fib_section::kDictionary, std::move(dict));
   }
+  add(fib_section::kCowenLandmarkCols,
+      U32(c.cols, c.cols + n * c.landmark_count));
+  add(fib_section::kCowenLandmarkRank, U32(c.rank, c.rank + n));
   return b.finish();
 }
 
@@ -336,9 +340,9 @@ TEST(FibAssembly, MovedAndCopiedSectionsGiveIdenticalBlobs) {
     EXPECT_EQ(blob_bytes(reassemble(*fib, inst.g, /*move_in=*/false)),
               compiled);
   }
-  // The slack profile really changed the layout, and TZ is a v5 blob.
+  // The slack profile really changed the layout, and TZ is a v6 blob.
   EXPECT_NE(inst.cowen.byte_size(), inst.cowen_slack.byte_size());
-  EXPECT_EQ(inst.tz.blob_version(), 5u);
+  EXPECT_EQ(inst.tz.blob_version(), 6u);
 }
 
 std::string open_error(const std::vector<std::uint8_t>& bytes) {
@@ -376,6 +380,10 @@ TEST(FibAssembly, MalformedCsrPassesFinishAndFailsTheLoader) {
   b.add_array(fib_section::kCowenRows, rows);
   b.add_array(fib_section::kCowenLandmark, landmark);
   b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
+  b.add_array(fib_section::kCowenLandmarkCols,
+              std::vector<std::uint32_t>{kInvalidPort, 0});
+  b.add_array(fib_section::kCowenLandmarkRank,
+              std::vector<std::uint32_t>{0, kNoLandmarkRank});
   try {
     b.finish();
     ADD_FAILURE() << "malformed CSR was accepted";
@@ -406,6 +414,12 @@ TEST(FibAssembly, RowCheckReportsTheLowestFailingNode) {
   b.add_array(fib_section::kCowenLandmark, std::vector<std::uint32_t>(kNodes));
   b.add_array(fib_section::kCowenLandmarkPort,
               std::vector<std::uint32_t>(kNodes, kInvalidPort));
+  // Node 0 is the one landmark (rank 0); no node has an edge to it.
+  std::vector<std::uint32_t> rank(kNodes, kNoLandmarkRank);
+  rank[0] = 0;
+  b.add_array(fib_section::kCowenLandmarkCols,
+              std::vector<std::uint32_t>(kNodes, kInvalidPort));
+  b.add_array(fib_section::kCowenLandmarkRank, std::move(rank));
   try {
     b.finish();
     ADD_FAILURE() << "malformed rows were accepted";
@@ -523,21 +537,26 @@ FlatFib multi_chunk_fib() {
   g.add_edge(0, 1);
   FibBuilder b(FibKind::kCowen, 2);
   b.add_topology(g);
+  // Node 0 is the landmark: node 1 reaches it through its column, and
+  // node 0 keeps a ball entry toward node 1.
   b.add_array(fib_section::kCowenRowOff, std::vector<std::uint32_t>{0, 1, 2});
-  b.add_array(fib_section::kCowenRowLen, std::vector<std::uint32_t>{1, 1});
+  b.add_array(fib_section::kCowenRowLen, std::vector<std::uint32_t>{1, 0});
   b.add_array(fib_section::kCowenRows,
-              std::vector<std::uint64_t>{fib_pack_entry(1, 0),
-                                         fib_pack_entry(0, 0)});
+              std::vector<std::uint64_t>{fib_pack_entry(1, 0), 0});
   b.add_array(fib_section::kCowenLandmark, std::vector<std::uint32_t>{0, 0});
   b.add_array(fib_section::kCowenLandmarkPort,
               std::vector<std::uint32_t>{kInvalidPort, 0});
+  b.add_array(fib_section::kCowenLandmarkCols,
+              std::vector<std::uint32_t>{kInvalidPort, 0});
+  b.add_array(fib_section::kCowenLandmarkRank,
+              std::vector<std::uint32_t>{0, kNoLandmarkRank});
   b.add_array(99, pattern_bytes(3 * kFibChecksumChunkBytes + 1000, 99));
   return b.finish();
 }
 
 TEST(FibChecksum, OneBitFlipAtEveryChunkEdgeAndLaneIsRejected) {
   const FlatFib fib = multi_chunk_fib();
-  ASSERT_EQ(fib.blob_version(), 5u);
+  ASSERT_EQ(fib.blob_version(), 6u);
   const auto clean = blob_bytes(fib);
   std::uint64_t payload_bytes = 0;
   std::memcpy(&payload_bytes, clean.data() + 24, 8);
@@ -622,6 +641,8 @@ TEST(FibDegenerate, EmptyGraphRoundTripsEveryKind) {
     b.add_array(fib_section::kCowenRows, std::vector<std::uint64_t>{});
     b.add_array(fib_section::kCowenLandmark, none);
     b.add_array(fib_section::kCowenLandmarkPort, none);
+    b.add_array(fib_section::kCowenLandmarkCols, none);
+    b.add_array(fib_section::kCowenLandmarkRank, none);
     expect_degenerate_roundtrip(b.finish(), 0);
   }
   {
@@ -638,6 +659,8 @@ TEST(FibDegenerate, EmptyGraphRoundTripsEveryKind) {
     b.add_array(fib_section::kLabelMap, none);
     b.add_array(fib_section::kDictionary,
                 std::vector<std::uint64_t>{1, 1, kFibDictEmpty});
+    b.add_array(fib_section::kCowenLandmarkCols, none);
+    b.add_array(fib_section::kCowenLandmarkRank, none);
     expect_degenerate_roundtrip(b.finish(), 0);
   }
   {
@@ -766,6 +789,198 @@ TEST(FibDegenerate, TwoPeeredRootsCompileAsTwoComponentMesh) {
   const SvfcPeerMeshScheme mesh(topo);
   EXPECT_EQ(mesh.component_count(), 2u);
   check_family(mesh, mesh.shadow(), 23, "mesh-two-roots");
+}
+
+// ---- v6 landmark columns ----
+//
+// Structure-aware mutations of the column and rank sections, resealed so
+// the checksum passes and the structural validator is what must reject
+// them, on both landmark kinds (the kTz rank map is label-indexed, its
+// columns node-indexed).
+
+// The blob of `fib` with `mutate(words, cols, rank)` applied to the
+// column and rank sections in place, resealed; "" when it opens, the
+// loader's message otherwise.
+template <typename Mutate>
+std::string mutated_open_error(const FlatFib& fib, const Mutate& mutate) {
+  auto bytes = blob_bytes(fib);
+  const FlatFib::CowenView& c = fib.cowen();
+  auto* cols =
+      reinterpret_cast<std::uint32_t*>(bytes.data() + blob_offset(fib, c.cols));
+  auto* rank =
+      reinterpret_cast<std::uint32_t*>(bytes.data() + blob_offset(fib, c.rank));
+  mutate(cols, rank);
+  EXPECT_TRUE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
+  return open_error(bytes);
+}
+
+// Keys (node ids, or labels for kTz) holding rank r, and a non-landmark.
+std::uint32_t key_of_rank(const FlatFib& fib, std::uint32_t r) {
+  for (std::uint32_t k = 0; k < fib.node_count(); ++k) {
+    if (fib.cowen().rank[k] == r) return k;
+  }
+  ADD_FAILURE() << "no key holds rank " << r;
+  return 0;
+}
+std::uint32_t some_non_landmark(const FlatFib& fib) {
+  for (std::uint32_t k = 0; k < fib.node_count(); ++k) {
+    if (fib.cowen().rank[k] == kNoLandmarkRank) return k;
+  }
+  ADD_FAILURE() << "every key is a landmark";
+  return 0;
+}
+
+TEST(FibColumns, StructuralMutationsAreRejected) {
+  const FlatFib fibs[] = {sample_fib(), sample_tz_fib()};
+  for (const FlatFib& fib : fibs) {
+    SCOPED_TRACE(static_cast<int>(fib.kind()));
+    const FlatFib::CowenView& c = fib.cowen();
+    const std::uint32_t lc = c.landmark_count;
+    ASSERT_GE(lc, 2u);
+    ASSERT_EQ(mutated_open_error(fib, [](auto*, auto*) {}), "");
+
+    // A port at or past the node's degree.
+    const auto degree = static_cast<std::uint32_t>(fib.topo().degree(3));
+    EXPECT_EQ(mutated_open_error(fib,
+                                 [&](std::uint32_t* cols, std::uint32_t*) {
+                                   cols[3 * lc + 1] = degree;
+                                 }),
+              "FlatFib: cowen: landmark column port out of range");
+    // A rank at or past |L|.
+    EXPECT_EQ(mutated_open_error(fib,
+                                 [&](std::uint32_t*, std::uint32_t* rank) {
+                                   rank[key_of_rank(fib, lc - 1)] = lc;
+                                 }),
+              "FlatFib: cowen: landmark rank out of range");
+    // Two landmarks sharing a rank.
+    EXPECT_EQ(mutated_open_error(fib,
+                                 [&](std::uint32_t*, std::uint32_t* rank) {
+                                   rank[key_of_rank(fib, 1)] = 0;
+                                 }),
+              "FlatFib: cowen: duplicate landmark rank");
+    // A non-landmark carrying a rank.
+    EXPECT_EQ(mutated_open_error(fib,
+                                 [&](std::uint32_t*, std::uint32_t* rank) {
+                                   rank[some_non_landmark(fib)] = 0;
+                                 }),
+              "FlatFib: cowen: rank on a non-landmark");
+    // A landmark without one.
+    EXPECT_EQ(mutated_open_error(fib,
+                                 [&](std::uint32_t*, std::uint32_t* rank) {
+                                   rank[key_of_rank(fib, 0)] = kNoLandmarkRank;
+                                 }),
+              "FlatFib: cowen: landmark without a rank");
+    // A ball-row key promoted to a rank: the row check names the row.
+    std::uint32_t ball_key = kNoLandmarkRank;
+    for (NodeId u = 0; u < fib.node_count() && ball_key == kNoLandmarkRank;
+         ++u) {
+      if (c.row_len[u] > 0) ball_key = fib_entry_key(c.rows[c.row_off[u]]);
+    }
+    ASSERT_NE(ball_key, kNoLandmarkRank);
+    EXPECT_EQ(mutated_open_error(fib,
+                                 [&](std::uint32_t*, std::uint32_t* rank) {
+                                   rank[ball_key] = 0;
+                                 }),
+              "FlatFib: cowen: ball row holds a landmark key");
+  }
+}
+
+// The rank check runs in node blocks on the pool: with faults in the
+// first and the last block, the error is the one a serial scan meets
+// first.
+TEST(FibColumns, RankCheckReportsTheLowestFailingNode) {
+  constexpr std::uint32_t kNodes = 5000;  // several check blocks
+  Graph g(kNodes);
+  FibBuilder b(FibKind::kCowen, kNodes);
+  b.add_topology(g);
+  std::vector<std::uint32_t> row_off(kNodes + 1, 0);
+  std::vector<std::uint32_t> landmark(kNodes, 0);
+  landmark[kNodes - 1] = kNodes - 1;  // landmarks: node 0 and the last
+  std::vector<std::uint32_t> rank(kNodes, kNoLandmarkRank);
+  rank[0] = 0;
+  rank[10] = 0;          // block 0: a non-landmark with a rank
+  rank[kNodes - 1] = 7;  // last block: a rank past |L| = 2
+  b.add_array(fib_section::kCowenRowOff, std::move(row_off));
+  b.add_array(fib_section::kCowenRowLen, std::vector<std::uint32_t>(kNodes));
+  b.add_array(fib_section::kCowenRows, std::vector<std::uint64_t>{});
+  b.add_array(fib_section::kCowenLandmark, std::move(landmark));
+  b.add_array(fib_section::kCowenLandmarkPort,
+              std::vector<std::uint32_t>(kNodes, kInvalidPort));
+  b.add_array(fib_section::kCowenLandmarkCols,
+              std::vector<std::uint32_t>(2 * kNodes, kInvalidPort));
+  b.add_array(fib_section::kCowenLandmarkRank, std::move(rank));
+  try {
+    b.finish();
+    ADD_FAILURE() << "malformed ranks were accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "FlatFib: cowen: rank on a non-landmark");
+  }
+}
+
+// apply_delta keeps every v6 invariant the loader checks: malformed
+// column patches, landmark keys in ball rows and landmark-slot patches
+// that would move the pinned landmark set are refused with the arena
+// untouched; a well-formed column patch lands and reloads.
+TEST(FibColumns, PatchesKeepTheColumnInvariants) {
+  const ShortestPath alg{16};
+  auto inst = test::seeded_instance(alg, 5, kN, kP);
+  const auto scheme = CowenScheme<ShortestPath>::build(alg, inst.graph,
+                                                       inst.weights, inst.rng);
+  FlatFib fib =
+      compile_fib(scheme, inst.graph, fib_churn_maintain_options().compile);
+  const auto before = blob_bytes(fib);
+  const std::uint32_t n = static_cast<std::uint32_t>(fib.node_count());
+  const std::uint32_t lc = fib.cowen().landmark_count;
+  ASSERT_GE(lc, 2u);
+  NodeId u = 0;
+  while (fib.topo().degree(u) == 0) ++u;
+  const auto degree = static_cast<std::uint32_t>(fib.topo().degree(u));
+  const std::uint32_t l = key_of_rank(fib, 0);
+  const std::uint32_t v = some_non_landmark(fib);
+  const auto column = [](std::uint32_t row, std::vector<std::uint64_t> w) {
+    return fib_patch_row_u64(fib_section::kCowenLandmarkCols, row, w);
+  };
+  const auto refused = [&](FibRowPatch p, const char* what) {
+    FibDelta d;
+    d.touched_nodes = 1;
+    d.patches.push_back(std::move(p));
+    EXPECT_FALSE(fib.apply_delta(d)) << what;
+    EXPECT_EQ(blob_bytes(fib), before) << what;
+  };
+  refused(column(u, {fib_pack_entry(lc, 0)}), "rank past |L|");
+  refused(column(u, {fib_pack_entry(0, degree)}), "port past the degree");
+  refused(column(u, {fib_pack_entry(1, 0), fib_pack_entry(0, 0)}),
+          "ranks not increasing");
+  refused(column(n, {fib_pack_entry(0, 0)}), "row past n");
+  refused(fib_patch_row_u64(fib_section::kCowenRows, u,
+                            {fib_pack_entry(l, 0)}),
+          "landmark key in a ball row");
+  refused(fib_patch_u32(fib_section::kCowenLandmark, v, v),
+          "a non-landmark naming itself");
+  refused(fib_patch_u32(fib_section::kCowenLandmark, l, v),
+          "a landmark renamed away");
+
+  FibDelta d;
+  d.touched_nodes = 1;
+  d.patches.push_back(
+      column(u, {fib_pack_entry(0, kInvalidPort), fib_pack_entry(1, 0)}));
+  ASSERT_TRUE(fib.apply_delta(d));
+  EXPECT_EQ(fib.cowen().cols[u * lc], kInvalidPort);
+  EXPECT_EQ(fib.cowen().cols[u * lc + 1], 0u);
+  const FlatFib reopened = FlatFib::from_blob(fib.blob());
+  EXPECT_EQ(reopened.cowen().cols[u * lc], kInvalidPort);
+  EXPECT_EQ(reopened.cowen().cols[u * lc + 1], 0u);
+}
+
+// forward_batch indexes queries with u32; the bound is checked on the
+// count alone, before anything is allocated.
+TEST(FibBatchLimits, QueryCountPastU32IsRejected) {
+  EXPECT_NO_THROW(fib_check_batch_size(0));
+  EXPECT_NO_THROW(fib_check_batch_size(kFibMaxBatchQueries));
+  EXPECT_THROW(fib_check_batch_size(kFibMaxBatchQueries + 1),
+               std::length_error);
+  EXPECT_THROW(fib_check_batch_size(~std::size_t{0}), std::length_error);
+  EXPECT_EQ(kFibMaxBatchQueries, std::size_t{0xffffffffu});
 }
 
 }  // namespace

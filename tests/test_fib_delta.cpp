@@ -247,14 +247,17 @@ TEST(FibApplyDelta, RowGrowthBeyondCapacityIsRefusedUntouched) {
   const auto before = fib.blob();
   const std::vector<std::uint8_t> snapshot(before.begin(), before.end());
 
-  const auto& row = fx.scheme.table(0);
+  // Rows hold ball entries only; landmark keys live in the columns.
+  const auto& row = fx.scheme.ball_table(0);
   std::vector<std::uint64_t> grown;
   for (const auto& [target, port] : row) {
     grown.push_back(fib_pack_entry(target, port));
   }
-  // Append a strictly larger key so the row stays sorted but overflows.
-  const std::uint32_t big_key =
-      grown.empty() ? 1u : fib_entry_key(grown.back()) + 1;
+  // Append a strictly larger non-landmark key so the row stays sorted but
+  // overflows.
+  std::uint32_t big_key = grown.empty() ? 1u : fib_entry_key(grown.back()) + 1;
+  while (fx.scheme.is_landmark(big_key)) ++big_key;
+  ASSERT_LT(big_key, fx.g.node_count());
   grown.push_back(fib_pack_entry(big_key, 0));
   FibDelta d;
   d.touched_nodes = 1;

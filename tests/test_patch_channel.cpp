@@ -46,6 +46,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -141,17 +142,20 @@ T read_le(std::span<const std::uint8_t> bytes, std::size_t offset) {
 #error "CPR_GOLDEN_DIR must point at tests/golden"
 #endif
 
-// The CPRPCH01 segment of today's (CPRFIB05) golden arena; the
-// CPRFIB03-carrying segment is kept as a compat fixture.
+// The CPRPCH01 segment of today's (CPRFIB06) golden arena; the
+// CPRFIB03- and CPRFIB05-carrying segments are kept as compat fixtures.
 const std::string kGoldenPath =
-    std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1_fib05.hex";
+    std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1_fib06.hex";
 const std::string kGoldenFib03Path =
     std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1.hex";
+const std::string kGoldenFib05Path =
+    std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1_fib05.hex";
 
 // The golden arena of test_blob_layout.cpp: a 3-node path 0-1-2 with
-// fully hand-written Cowen sections — every byte of the embedded blob is
-// determined by the builder and the format, no RNG — so the golden file
-// pins exactly the segment serialization layer.
+// fully hand-written Cowen sections (node 1 the one landmark, reached
+// through the columns) — every byte of the embedded blob is determined
+// by the builder and the format, no RNG — so the golden file pins
+// exactly the segment serialization layer.
 FlatFib build_golden_fib() {
   Graph g(3);
   g.add_edge(0, 1);  // edge 0: port 0 at both ends
@@ -159,19 +163,24 @@ FlatFib build_golden_fib() {
   FibBuilder b(FibKind::kCowen, 3);
   b.add_topology(g);
   const std::vector<std::uint32_t> row_off = {0, 2, 4, 6};  // capacity CSR
-  const std::vector<std::uint32_t> row_len = {1, 2, 1};
+  const std::vector<std::uint32_t> row_len = {0, 2, 0};
   const std::vector<std::uint64_t> rows = {
-      fib_pack_entry(1, 0), 0,                     // node 0 (+slack)
+      0, 0,                                        // node 0 (all slack)
       fib_pack_entry(0, 0), fib_pack_entry(2, 1),  // node 1
-      fib_pack_entry(1, 0), 0,                     // node 2 (+slack)
+      0, 0,                                        // node 2 (all slack)
   };
   const std::vector<std::uint32_t> landmark = {1, 1, 1};
   const std::vector<std::uint32_t> landmark_port = {0, kInvalidPort, 0};
+  const std::vector<std::uint32_t> cols = {0, kInvalidPort, 0};  // |L| = 1
+  const std::vector<std::uint32_t> rank = {kNoLandmarkRank, 0,
+                                           kNoLandmarkRank};
   b.add_array(fib_section::kCowenRowOff, row_off);
   b.add_array(fib_section::kCowenRowLen, row_len);
   b.add_array(fib_section::kCowenRows, rows);
   b.add_array(fib_section::kCowenLandmark, landmark);
   b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
+  b.add_array(fib_section::kCowenLandmarkCols, cols);
+  b.add_array(fib_section::kCowenLandmarkRank, rank);
   return b.finish();
 }
 
@@ -238,13 +247,14 @@ TEST(PatchSegmentWire, GoldenFileMatchesByteForByte) {
   }
 }
 
-// A segment published by a build that wrote CPRFIB03 blobs: the snapshot
-// must accept it, and a patched copy must reseal in the blob's own
-// FNV-1a (not today's hash) before the structural open — what every
-// reader and standby does on adoption.
-TEST(PatchSegmentWire, Fib03CarryingGoldenStillSnapshotsAndOpens) {
-  std::ifstream in(kGoldenFib03Path);
-  ASSERT_TRUE(in) << "missing compat golden " << kGoldenFib03Path;
+// A segment published by an older build (blob version `version`): the
+// snapshot must accept it, and a patched copy must reseal in the blob's
+// own checksum (not today's hash) before the structural open — what
+// every reader and standby does on adoption.
+void expect_compat_segment_snapshots_and_opens(const std::string& path,
+                                               std::uint32_t version) {
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "missing compat golden " << path;
   const std::string text((std::istreambuf_iterator<char>(in)),
                          std::istreambuf_iterator<char>());
   const std::vector<std::uint8_t> golden = from_hex(text);
@@ -257,17 +267,18 @@ TEST(PatchSegmentWire, Fib03CarryingGoldenStillSnapshotsAndOpens) {
   auto copy = patch_channel_snapshot(seg, golden.size(), 1, &h);
   ASSERT_FALSE(copy.empty()) << "the sealed compat segment must snapshot";
   auto* blob = reinterpret_cast<std::uint8_t*>(copy.data());
-  ASSERT_EQ(std::memcmp(blob, "CPRFIB03", 8), 0);
+  const std::string magic = "CPRFIB0" + std::to_string(version);
+  ASSERT_EQ(std::memcmp(blob, magic.data(), 8), 0);
   ASSERT_TRUE(fib_reseal_blob_checksum(blob, h.payload_bytes));
   const FlatFib fib = FlatFib::from_memory(blob, h.payload_bytes);
-  EXPECT_EQ(fib.blob_version(), 3u);
+  EXPECT_EQ(fib.blob_version(), version);
   const std::vector<std::pair<NodeId, NodeId>> queries = {{0, 2}, {2, 0}};
   const FibBatchOutput out = forward_batch(fib, queries);
   EXPECT_TRUE(out.results[0].delivered);
   EXPECT_TRUE(out.results[1].delivered);
 
   // Patch one landmark port in place, as a writer would, and vouch for
-  // it in the segment checksum only: the inner FNV-1a is now stale.
+  // it in the segment checksum only: the inner checksum is now stale.
   std::uint8_t* inner = seg + kPatchSegmentHeaderBytes;
   const std::uint64_t lmp = fib.section_offset(fib_section::kCowenLandmarkPort);
   ASSERT_NE(lmp, 0u);
@@ -283,8 +294,17 @@ TEST(PatchSegmentWire, Fib03CarryingGoldenStillSnapshotsAndOpens) {
       << "the patched copy carries a stale payload checksum";
   ASSERT_TRUE(fib_reseal_blob_checksum(patched_blob, h.payload_bytes));
   const FlatFib patched = FlatFib::from_memory(patched_blob, h.payload_bytes);
-  EXPECT_EQ(patched.blob_version(), 3u);
+  EXPECT_EQ(patched.blob_version(), version);
   EXPECT_NE(patched.cowen().landmark_port[0], fib.cowen().landmark_port[0]);
+}
+
+TEST(PatchSegmentWire, Fib03CarryingGoldenStillSnapshotsAndOpens) {
+  expect_compat_segment_snapshots_and_opens(kGoldenFib03Path, 3);
+}
+
+// CPRFIB05 carries the landmark entries in its rows and no columns.
+TEST(PatchSegmentWire, Fib05CarryingGoldenStillSnapshotsAndOpens) {
+  expect_compat_segment_snapshots_and_opens(kGoldenFib05Path, 5);
 }
 
 // The layout promises, stated as offsets — the documentation of record
@@ -413,6 +433,34 @@ TEST(PatchChannelLive, ReaderServesPatchedRowsWithZeroRepublishes) {
   ArenaStore probe(dir.path);
   EXPECT_EQ(probe.generations(), (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(probe.current_generation(), 1u);
+}
+
+// A column slot patched in place is vouched for by the segment checksum
+// like a row: the writer's fold covers the column words, so a snapshot
+// taken right after the patch validates and carries the new port.
+TEST(PatchChannelLive, ColumnPatchIsVouchedForByTheSegmentChecksum) {
+  StoreDir dir("live_cols");
+  const FlatFib fib0 = make_fib(7);
+  const FlatFib::CowenView& c = fib0.cowen();
+  NodeId u = 0;
+  while (c.cols[u * c.landmark_count] == kInvalidPort) ++u;
+  auto writer = PatchChannelWriter::acquire(dir.path, 5);
+  writer.publish(fib0);
+  FibDelta d;
+  d.touched_nodes = 1;
+  d.patches.push_back(fib_patch_row_u64(fib_section::kCowenLandmarkCols, u,
+                                        {fib_pack_entry(0, kInvalidPort)}));
+  ASSERT_TRUE(writer.apply(d));
+
+  PatchSegmentHeader h;
+  auto copy = patch_channel_snapshot(writer.segment_for_test(),
+                                     writer.segment_bytes_for_test(), 1, &h);
+  ASSERT_FALSE(copy.empty()) << "the segment checksum missed the column";
+  auto* blob = reinterpret_cast<std::uint8_t*>(copy.data());
+  ASSERT_TRUE(fib_reseal_blob_checksum(blob, h.payload_bytes));
+  const FlatFib snapshot = FlatFib::from_memory(blob, h.payload_bytes);
+  EXPECT_EQ(snapshot.cowen().cols[u * c.landmark_count], kInvalidPort);
+  EXPECT_EQ(h.patches_applied, 1u);
 }
 
 TEST(PatchChannelLive, ReaderFallsBackToPlainStores) {
@@ -960,26 +1008,25 @@ INSTANTIATE_TEST_SUITE_P(Corpus, PatchChannelSeeds,
 // writer's own mapping — same virtual addresses, so TSan watches both
 // sides of the seqlock and the checksum fold.
 
-TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
-  StoreDir dir("race");
+// Races `kFlips` cross-process patches against two batch readers and a
+// snapshot adopter. flip(i) is the i-th delta: even flips move the arena
+// from its published state to the one `dark` describes, odd flips move it
+// back. Every batch must match one of the two states, and snapshots must
+// keep validating — which they can only do if the writer's checksum fold
+// covers every word the flips touch.
+void race_a_live_patcher(const std::string& tag, const FibDelta& dark,
+                         const std::function<FibDelta(std::size_t)>& flip) {
+  StoreDir dir(tag);
   const FlatFib fib0 = make_fib(11);
   const auto queries = all_pairs(fib0.node_count());
   const std::uint64_t h0 = batch_hash(forward_batch(fib0, queries));
   FlatFib flipped = writable_copy(fib0);
-  FibDelta dark;
-  dark.touched_nodes = 1;
-  dark.patches.push_back(
-      fib_patch_u32(fib_section::kCowenLandmarkPort, 0, kInvalidPort));
   ASSERT_TRUE(flipped.apply_delta(dark));
   const std::uint64_t h1 = batch_hash(forward_batch(flipped, queries));
+  ASSERT_NE(h0, h1) << "the flip must change serving";
 
   auto writer = PatchChannelWriter::acquire(dir.path, 9);
   writer.publish(fib0);
-  const Port orig = [&] {
-    // Recover the original port value straight from the pristine arena.
-    return static_cast<Port>(
-        fib0.cowen().landmark_port[0]);
-  }();
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> illegal{0};
@@ -1019,11 +1066,11 @@ TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
     }
   });
 
-  // The patcher: 64 alternating flips of one landmark-port slot, each a
-  // full cross-process patch (seqlock window + checksum fold). Each flip
-  // first waits for one more completed batch and one more validated
-  // snapshot, so both kinds of reader interleave with the patches
-  // however the threads are scheduled.
+  // The patcher: 64 alternating flips, each a full cross-process patch
+  // (seqlock window + checksum fold). Each flip first waits for one more
+  // completed batch and one more validated snapshot, so both kinds of
+  // reader interleave with the patches however the threads are
+  // scheduled.
   constexpr std::size_t kFlips = 64;
   std::size_t seen_batches = 0;
   std::size_t seen_snapshots = 0;
@@ -1032,11 +1079,7 @@ TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
     test::wait_for_progress(snapshots_ok, seen_snapshots);
     seen_batches = batches.load(std::memory_order_acquire);
     seen_snapshots = snapshots_ok.load(std::memory_order_acquire);
-    FibDelta d;
-    d.touched_nodes = 1;
-    d.patches.push_back(fib_patch_u32(fib_section::kCowenLandmarkPort, 0,
-                                      i % 2 == 0 ? kInvalidPort : orig));
-    ASSERT_TRUE(writer.apply(d));
+    ASSERT_TRUE(writer.apply(flip(i)));
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : workers) t.join();
@@ -1048,8 +1091,45 @@ TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
   EXPECT_GT(snapshots_ok.load(), 0u)
       << "no snapshot ever validated against the live patcher";
   EXPECT_EQ(writer.patches_applied(), kFlips);
-  // kFlips is even: the last flip restored the original port.
+  // kFlips is even: the last flip restored the published state.
   EXPECT_EQ(serve_hash(writer.fib(), queries), h0);
+}
+
+// One landmark-port slot, flipped dark and back.
+TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
+  const FlatFib fib0 = make_fib(11);
+  const Port orig = static_cast<Port>(fib0.cowen().landmark_port[0]);
+  const auto slot = [&](Port port) {
+    FibDelta d;
+    d.touched_nodes = 1;
+    d.patches.push_back(
+        fib_patch_u32(fib_section::kCowenLandmarkPort, 0, port));
+    return d;
+  };
+  race_a_live_patcher("race", slot(kInvalidPort), [&](std::size_t i) {
+    return slot(i % 2 == 0 ? kInvalidPort : orig);
+  });
+}
+
+// One landmark column slot — node u's port toward the landmark of rank
+// 0, which every query from u to that landmark reads — flipped dark and
+// back.
+TEST(PatchChannelConcurrency, ColumnSlotPatchesRaceALivePatcher) {
+  const FlatFib fib0 = make_fib(11);
+  const FlatFib::CowenView& c = fib0.cowen();
+  NodeId u = 0;
+  while (c.cols[u * c.landmark_count] == kInvalidPort) ++u;
+  const Port orig = c.cols[u * c.landmark_count];
+  const auto slot = [&](Port port) {
+    FibDelta d;
+    d.touched_nodes = 1;
+    d.patches.push_back(fib_patch_row_u64(fib_section::kCowenLandmarkCols, u,
+                                          {fib_pack_entry(0, port)}));
+    return d;
+  };
+  race_a_live_patcher("race_cols", slot(kInvalidPort), [&](std::size_t i) {
+    return slot(i % 2 == 0 ? kInvalidPort : orig);
+  });
 }
 
 }  // namespace
