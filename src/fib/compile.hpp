@@ -47,7 +47,7 @@ class SvfcPeerMeshScheme;
 // Per-row slack reserved at compile time so apply_delta can grow a row
 // without relayout: capacity(v) = len(v) + row_slack_min +
 // floor(row_slack_frac * len(v)). The defaults reserve nothing — a
-// static compile stays exactly as tight as v1.
+// static compile carries no slack.
 struct FibCompileOptions {
   std::uint32_t row_slack_min = 0;
   double row_slack_frac = 0.0;
@@ -93,7 +93,7 @@ void add_ball_rows(FibBuilder& b, std::size_t n, const FibCompileOptions& opt,
   b.add_array(fib_section::kCowenRows, std::move(rows));
 }
 
-// The v6 landmark columns: the scheme's n × |L| port matrix, copied once
+// The landmark columns: the scheme's n × |L| port matrix, copied once
 // straight into the blob, and the key → rank map. A stats-only scheme
 // (CowenOptions::materialize_tables = false) has no matrix, and the
 // loader rejects its arena.
@@ -134,9 +134,9 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
   b.add_array(fib_section::kCowenLandmark, std::move(landmark));
   b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
   detail::add_landmark_columns(b, scheme.landmark_ports(), std::move(rank));
-  // The v3 Eytzinger mirror (kCowenRowsEyt) is synthesized by finish()
+  // The Eytzinger mirror (kCowenRowsEyt) is synthesized by finish()
   // from the sorted rows — one code path for compiles, patches and
-  // hand-assembled arenas keeps every v3 blob byte-identical.
+  // hand-assembled arenas keeps every blob byte-identical.
   return b.finish();
 }
 

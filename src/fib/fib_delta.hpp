@@ -64,7 +64,11 @@ inline FibRowPatch fib_patch_u32(std::uint32_t section, std::uint32_t row,
 inline FibRowPatch fib_patch_row_u64(std::uint32_t section, std::uint32_t row,
                                      const std::vector<std::uint64_t>& words) {
   FibRowPatch p{section, row, std::vector<std::uint8_t>(words.size() * 8)};
-  std::memcpy(p.bytes.data(), words.data(), p.bytes.size());
+  // An empty row (a row patched down to no entries) has no buffer to
+  // copy from, and memcpy's pointers must be valid even for zero bytes.
+  if (!words.empty()) {
+    std::memcpy(p.bytes.data(), words.data(), p.bytes.size());
+  }
   return p;
 }
 

@@ -22,36 +22,19 @@ namespace {
 //              offset is relative to blob start and 64-byte aligned
 //   payload  : sections back to back, zero-padded to 64-byte boundaries
 //
-// v2 over v1: kMesh kind, kCowenRowLen is mandatory for kCowen and
-// kCowenRowOff describes row *capacities* (slack past row_len[v] must be
-// zero), and node_count == 0 is legal (degenerate graphs serialize).
-//
-// v3 over v2: kCowen arenas must carry kCowenRowsEyt, the Eytzinger
-// mirror of the sorted rows (same capacity CSR, same zeroed slack).
-// The loader still opens v2 blobs — readers fall back to binary search
-// over the sorted image when the mirror is absent — so a fleet can roll
-// forward without republishing every stored generation.
-//
-// v4 over v3: the label layer. kLabelMap (node→label permutation) and
-// kDictionary (hash-partitioned name→label buckets, fixed-capacity,
-// kFibDictEmpty fill) sections, both mandatory for the kTz kind, which
-// is only legal from v4 on.
-//
-// v5 over v4: the payload checksum. v2–v4 use byte-serial FNV-1a; v5
-// uses the chunked four-lane word hash below, which hashes 1 MiB chunks
-// independently so the writer and the loader spread it over the pool.
-// Nothing else moved: a v5 blob differs from the v3/v4 blob of the same
-// arena only in magic byte 7 and checksum bytes 32–39. v2–v4 blobs still
-// open, serve and reseal in their own checksum.
-//
-// v6 over v5: the landmark columns. kCowen and kTz arenas must carry
-// kCowenLandmarkCols (u32[n × |L|], |L| = its size / 4n) and
-// kCowenLandmarkRank (u32[n], indexed like the row keys), and their rows
-// hold ball entries only — no row key may be a landmark. Ranks are a
+// kCowen and kTz arenas: kCowenRowOff describes row *capacities* (slack
+// past row_len[v] must be zero, so apply_delta can grow a row in place
+// and a patched arena reloads like a fresh compile); kCowenRowsEyt is
+// the Eytzinger mirror of the sorted rows (same capacity CSR, same
+// zeroed slack); kCowenLandmarkCols (u32[n × |L|], |L| = its size / 4n)
+// and kCowenLandmarkRank (u32[n], indexed like the row keys) hold the
+// landmark entries, so no row key may be a landmark. Ranks are a
 // bijection from the keys whose landmark slot names themselves onto
-// [0, |L|); every column port is kInvalidPort or below the node's degree.
-// finish() writes v6 for every kind; v2–v5 arenas serve the landmark
-// entries out of their rows as before.
+// [0, |L|); every column port is kInvalidPort or below the node's
+// degree. kTz additionally carries kLabelMap (node→label permutation)
+// and kDictionary (hash-partitioned name→label buckets, fixed-capacity,
+// kFibDictEmpty fill). node_count == 0 is legal (degenerate graphs
+// serialize).
 constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '6'};
 constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8 + 8;  // 40
 constexpr std::size_t kDirEntryBytes = 4 + 4 + 8 + 8;    // 24
@@ -110,17 +93,6 @@ class Directory {
       fail("section " + std::to_string(id) + " has torn size");
     }
     *count = r.bytes / elem_bytes;
-    return r;
-  }
-
-  // Section may be absent (r.present == false); when present it must
-  // hold exactly `count` elements of `elem_bytes`.
-  SectionRef optional(std::uint32_t id, std::size_t elem_bytes,
-                      std::size_t count) const {
-    SectionRef r = find(id);
-    if (r.present && r.bytes != elem_bytes * count) {
-      fail("section " + std::to_string(id) + " has wrong size");
-    }
     return r;
   }
 
@@ -208,7 +180,7 @@ void check_nodes(std::size_t n, const Check& check) {
   }
 }
 
-// v6 rank and column checks. A key carries a rank exactly when its
+// Rank and column checks. A key carries a rank exactly when its
 // landmark slot names itself; ranks are below |L| and distinct (a rank
 // first claimed by a lower key marks every later claimant as the
 // duplicate), and with one rank per landmark they then cover [0, |L|).
@@ -250,12 +222,6 @@ void check_landmark_columns(const FlatFib::CowenView& c,
   });
 }
 
-// Blob version named by the magic, 0 when it is not one this build opens.
-std::uint32_t magic_version(const std::uint8_t* base) {
-  if (std::memcmp(base, kMagic, 7) != 0) return 0;
-  return base[7] >= '2' && base[7] <= '6' ? base[7] - '0' : 0;
-}
-
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
@@ -263,13 +229,7 @@ std::uint64_t fnv_step(std::uint64_t h, std::uint64_t w) {
   return (h ^ w) * kFnvPrime;
 }
 
-std::uint64_t fnv1a_bytes(const std::uint8_t* data, std::size_t nbytes) {
-  std::uint64_t h = kFnvBasis;
-  for (std::size_t i = 0; i < nbytes; ++i) h = fnv_step(h, data[i]);
-  return h;
-}
-
-// v5 chunk digest: lane l folds words 4k + l with fnv_step from its own
+// Chunk digest: lane l folds words 4k + l with fnv_step from its own
 // seed; a trailing partial word (never written by finish()) is folded
 // zero-padded. The lanes are then folded in order from kFnvBasis.
 std::uint64_t chunk_digest(const std::uint8_t* p, std::size_t nbytes) {
@@ -296,25 +256,21 @@ std::uint64_t chunk_digest(const std::uint8_t* p, std::size_t nbytes) {
   return d;
 }
 
-// A payload checksum as independent chunk tasks plus an ordered fold:
-// v5 hashes each 1 MiB chunk on its own; v2–v4 are one FNV-1a task.
+// A payload checksum as independent 1 MiB chunk tasks plus an ordered
+// fold.
 struct ChecksumPlan {
-  std::uint32_t version;
   const std::uint8_t* data;
   std::size_t nbytes;
 
   std::size_t chunks() const {
-    if (version < 5) return 1;
     return (nbytes + kFibChecksumChunkBytes - 1) / kFibChecksumChunkBytes;
   }
   std::uint64_t chunk(std::size_t c) const {
-    if (version < 5) return fnv1a_bytes(data, nbytes);
     const std::size_t at = c * kFibChecksumChunkBytes;
     return chunk_digest(data + at,
                         std::min(kFibChecksumChunkBytes, nbytes - at));
   }
   std::uint64_t fold(const std::vector<std::uint64_t>& digests) const {
-    if (version < 5) return digests[0];
     std::uint64_t h = kFnvBasis;
     for (const std::uint64_t d : digests) h = fnv_step(h, d);
     return h;
@@ -323,10 +279,9 @@ struct ChecksumPlan {
 
 }  // namespace
 
-std::uint64_t fib_payload_checksum(std::uint32_t version,
-                                   const std::uint8_t* data,
+std::uint64_t fib_payload_checksum(const std::uint8_t* data,
                                    std::size_t nbytes) {
-  const ChecksumPlan plan{version, data, nbytes};
+  const ChecksumPlan plan{data, nbytes};
   std::vector<std::uint64_t> digests(plan.chunks());
   parallel_for(ThreadPool::global(), 0, digests.size(),
                [&](std::size_t c) { digests[c] = plan.chunk(c); });
@@ -335,15 +290,17 @@ std::uint64_t fib_payload_checksum(std::uint32_t version,
 
 bool fib_reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes) {
   if (bytes < kHeaderBytes) return false;
-  const std::uint32_t version = magic_version(blob);
   std::uint32_t section_count = 0;
   std::memcpy(&section_count, blob + 16, 4);
-  if (version == 0 || section_count == 0 || section_count > 64) return false;
+  if (std::memcmp(blob, kMagic, sizeof(kMagic)) != 0 || section_count == 0 ||
+      section_count > 64) {
+    return false;
+  }
   const std::size_t payload_begin =
       align_up(kHeaderBytes + section_count * kDirEntryBytes, kSectionAlign);
   if (payload_begin > bytes) return false;
-  const std::uint64_t sum = fib_payload_checksum(
-      version, blob + payload_begin, bytes - payload_begin);
+  const std::uint64_t sum =
+      fib_payload_checksum(blob + payload_begin, bytes - payload_begin);
   std::memcpy(blob + kChecksumOffset, &sum, 8);
   return true;
 }
@@ -396,12 +353,16 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   const std::uint8_t* base = fib.base_;
 
   if (avail < kHeaderBytes) fail("blob shorter than header");
-  if (std::memcmp(base, kMagic, 6) != 0) fail("bad magic");
-  // v2: pre-Eytzinger blob, served via binary search; v4: label layer
-  // (kLabelMap / kDictionary sections); v5: chunked word checksum; v6:
-  // landmark port columns.
-  fib.version_ = magic_version(base);
-  if (fib.version_ == 0) fail("unsupported FIB blob version");
+  if (std::memcmp(base, kMagic, sizeof(kMagic)) != 0) {
+    // An older (or newer) format is named as such: the fix is to
+    // recompile and republish, not to look for corruption.
+    if (std::memcmp(base, kMagic, 7) == 0 && base[7] >= '0' &&
+        base[7] <= '9') {
+      fail(std::string("unsupported blob version ") +
+           static_cast<char>(base[7]));
+    }
+    fail("bad magic");
+  }
 
   std::uint32_t kind_raw, node_count, section_count, reserved;
   std::uint64_t payload_bytes, checksum;
@@ -413,12 +374,6 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   std::memcpy(&checksum, base + kChecksumOffset, 8);
 
   if (kind_raw < 1 || kind_raw > 6) fail("unknown FIB kind");
-  // Name-independent arenas need the label sections v4 introduced; a
-  // pre-v4 blob claiming kTz is malformed, not merely old.
-  if (kind_raw == static_cast<std::uint32_t>(FibKind::kTz) &&
-      fib.version_ < 4) {
-    fail("tz arenas require blob version 4 or later");
-  }
   if (reserved != 0) fail("reserved header field is nonzero");
   if (section_count == 0 || section_count > 64) fail("bad section count");
 
@@ -447,7 +402,7 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   // no idle worker the caller runs them in this order. The structural task
   // keeps its error to itself: a checksum mismatch wins, whichever task
   // finishes first, so the reported reason does not depend on scheduling.
-  const ChecksumPlan plan{fib.version_, base + payload_begin, payload_bytes};
+  const ChecksumPlan plan{base + payload_begin, payload_bytes};
   std::vector<std::uint64_t> digests(plan.chunks());
   std::exception_ptr structural;
   parallel_for(ThreadPool::global(), 0, digests.size() + 1,
@@ -565,10 +520,10 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
       break;
     }
     // kTz shares the Cowen row machinery — capacity CSR, live-length
-    // array, landmark arrays, Eytzinger mirror — with keys drawn from
-    // label space instead of node-id space (a bijection, so every range
-    // check below still holds verbatim). On top it must carry the label
-    // map and the name dictionary, validated after the shared block.
+    // array, landmark arrays, Eytzinger mirror, columns — with keys drawn
+    // from label space instead of node-id space (a bijection, so every
+    // range check below still holds verbatim). On top it must carry the
+    // label map and the name dictionary, validated after the shared block.
     case FibKind::kTz:
     case FibKind::kCowen: {
       auto roff = dir.require(fs::kCowenRowOff, 4, n + 1);
@@ -593,27 +548,24 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
       auto lmp = dir.require(fs::kCowenLandmarkPort, 4, n);
       fib.cowen_.landmark_port =
           reinterpret_cast<const std::uint32_t*>(lmp.data);
-      // v6 landmark columns: n × |L| ports, |L| read off the section size.
-      const std::uint32_t* rank = nullptr;
-      if (fib.version_ >= 6) {
-        rank = reinterpret_cast<const std::uint32_t*>(
-            dir.require(fs::kCowenLandmarkRank, 4, n).data);
-        std::size_t ports = 0;
-        auto cols = dir.require_counted(fs::kCowenLandmarkCols, 4, &ports);
-        if (n == 0 ? ports != 0
-                   : (ports % n != 0 || ports / n > kNoLandmarkRank)) {
-          fail("cowen: landmark columns are not n × |L|");
-        }
-        fib.cowen_.cols = reinterpret_cast<const std::uint32_t*>(cols.data);
-        fib.cowen_.rank = rank;
-        fib.cowen_.landmark_count =
-            n == 0 ? 0 : static_cast<std::uint32_t>(ports / n);
+      // Landmark columns: n × |L| ports, |L| read off the section size.
+      const auto* rank = reinterpret_cast<const std::uint32_t*>(
+          dir.require(fs::kCowenLandmarkRank, 4, n).data);
+      std::size_t ports = 0;
+      auto cols = dir.require_counted(fs::kCowenLandmarkCols, 4, &ports);
+      if (n == 0 ? ports != 0
+                 : (ports % n != 0 || ports / n > kNoLandmarkRank)) {
+        fail("cowen: landmark columns are not n × |L|");
       }
+      fib.cowen_.cols = reinterpret_cast<const std::uint32_t*>(cols.data);
+      fib.cowen_.rank = rank;
+      fib.cowen_.landmark_count =
+          n == 0 ? 0 : static_cast<std::uint32_t>(ports / n);
       // row_off is the capacity CSR; the live prefix of each row must be
       // strictly increasing by key and the slack tail zeroed (apply_delta
       // keeps both invariants, so reload == fresh compile structurally).
-      // From v6 on, no live key may be a landmark: those entries live in
-      // the columns. Skipped for live shared mappings: these sections are
+      // No live key may be a landmark: those entries live in the
+      // columns. Skipped for live shared mappings: these sections are
       // exactly the ones a concurrent writer patches.
       const std::uint32_t* ro = fib.cowen_.row_off;
       const std::uint32_t* row_len = fib.cowen_.row_len;
@@ -629,12 +581,10 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
               return "cowen: row keys not strictly increasing";
             }
           }
-          if (rank != nullptr) {
-            for (std::uint32_t i = ro[v]; i < ro[v] + len; ++i) {
-              const std::uint32_t key = fib_entry_key(sorted[i]);
-              if (key < n && rank[key] != kNoLandmarkRank) {
-                return "cowen: ball row holds a landmark key";
-              }
+          for (std::uint32_t i = ro[v]; i < ro[v] + len; ++i) {
+            const std::uint32_t key = fib_entry_key(sorted[i]);
+            if (key < n && rank[key] != kNoLandmarkRank) {
+              return "cowen: ball row holds a landmark key";
             }
           }
           for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
@@ -643,36 +593,25 @@ void FlatFib::open_sections(FlatFib& fib, std::uint32_t section_count) {
           return nullptr;
         });
       }
-      // v3 Eytzinger mirror: mandatory from v3 on, absent from v2 blobs
-      // (the engine then binary-searches the sorted image). When present
-      // it shares the capacity CSR with kCowenRows and every live prefix
-      // must be exactly the Eytzinger permutation of the sorted prefix
-      // with zeroed slack — a stale or corrupted mirror can never serve
-      // different answers than the sorted rows.
-      {
-        SectionRef er = (fib.version_ >= 3)
-                            ? dir.require(fs::kCowenRowsEyt, 8, rows)
-                            : dir.optional(fs::kCowenRowsEyt, 8, rows);
-        if (er.present) {
-          const auto* eyt = reinterpret_cast<const std::uint64_t*>(er.data);
-          if (fib.deep_validate_) {
-            check_nodes(n, [&](std::size_t v) -> const char* {
-              const std::uint32_t len = row_len[v];
-              std::uint32_t next = 0;
-              if (!eytzinger_matches(sorted + ro[v], eyt + ro[v], len, next,
-                                     0)) {
-                return "cowen: Eytzinger mirror disagrees with sorted rows";
-              }
-              for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
-                if (eyt[i] != 0) return "cowen: mirror slack is nonzero";
-              }
-              return nullptr;
-            });
+      // The Eytzinger mirror shares the capacity CSR with kCowenRows, and
+      // every live prefix must be exactly the Eytzinger permutation of
+      // the sorted prefix with zeroed slack — a stale or corrupted mirror
+      // can never serve different answers than the sorted rows.
+      const auto* eyt = reinterpret_cast<const std::uint64_t*>(
+          dir.require(fs::kCowenRowsEyt, 8, rows).data);
+      fib.cowen_.eyt = eyt;
+      if (fib.deep_validate_) {
+        check_nodes(n, [&](std::size_t v) -> const char* {
+          const std::uint32_t len = row_len[v];
+          std::uint32_t next = 0;
+          if (!eytzinger_matches(sorted + ro[v], eyt + ro[v], len, next, 0)) {
+            return "cowen: Eytzinger mirror disagrees with sorted rows";
           }
-          fib.cowen_.eyt = eyt;
-        }
-      }
-      if (rank != nullptr && fib.deep_validate_) {
+          for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
+            if (eyt[i] != 0) return "cowen: mirror slack is nonzero";
+          }
+          return nullptr;
+        });
         check_landmark_columns(fib.cowen_, fib.topo_, n);
       }
       if (fib.kind_ == FibKind::kTz) {
@@ -841,7 +780,6 @@ FlatFib::FlatFib(FlatFib&& other) noexcept
       writable_(other.writable_),
       bytes_(other.bytes_),
       payload_begin_(other.payload_begin_),
-      version_(other.version_),
       kind_(other.kind_),
       node_count_(other.node_count_),
       sections_(std::move(other.sections_)),
@@ -866,7 +804,6 @@ FlatFib& FlatFib::operator=(FlatFib&& other) noexcept {
     writable_ = other.writable_;
     bytes_ = other.bytes_;
     payload_begin_ = other.payload_begin_;
-    version_ = other.version_;
     kind_ = other.kind_;
     node_count_ = other.node_count_;
     sections_ = std::move(other.sections_);
@@ -901,7 +838,7 @@ std::uint8_t* FlatFib::section_ptr(std::uint32_t id) {
 void FlatFib::refresh_checksum() const {
   if (!writable_ || mutable_base_ == nullptr) return;  // foreign read-only
   const std::uint64_t sum = fib_payload_checksum(
-      version_, mutable_base_ + payload_begin_, bytes_ - payload_begin_);
+      mutable_base_ + payload_begin_, bytes_ - payload_begin_);
   std::memcpy(mutable_base_ + kChecksumOffset, &sum, 8);
   checksum_stale_ = false;
 }
@@ -928,8 +865,8 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
           std::uint64_t e;
           std::memcpy(&e, p.bytes.data() + i * 8, 8);
           if (i > 0 && fib_entry_key(e) <= fib_entry_key(prev)) return false;
-          // v6 rows are ball rows: landmark entries live in the columns.
-          if (cowen_.rank != nullptr && fib_entry_key(e) < n &&
+          // Rows are ball rows: landmark entries live in the columns.
+          if (fib_entry_key(e) < n &&
               cowen_.rank[fib_entry_key(e)] != kNoLandmarkRank) {
             return false;
           }
@@ -940,7 +877,6 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
       case fs::kCowenLandmarkCols: {
         // Node-keyed column patch: packed (rank, port) words, ranks
         // strictly increasing, ports valid for the node.
-        if (cowen_.cols == nullptr) return false;
         if (p.row >= n || p.bytes.size() % 8 != 0) return false;
         const std::size_t deg = topo_.degree(p.row);
         std::uint64_t prev = 0;
@@ -960,10 +896,9 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         std::uint32_t lm;
         std::memcpy(&lm, p.bytes.data(), 4);
         if (lm >= n && lm != kInvalidNode) return false;
-        // v6: the landmark set is pinned by the ranks — a slot names
-        // itself exactly when its key is a landmark.
-        if (cowen_.rank != nullptr &&
-            (lm == p.row) != (cowen_.rank[p.row] != kNoLandmarkRank)) {
+        // The landmark set is pinned by the ranks — a slot names itself
+        // exactly when its key is a landmark.
+        if ((lm == p.row) != (cowen_.rank[p.row] != kNoLandmarkRank)) {
           return false;
         }
         break;
@@ -1013,19 +948,17 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
   }
 
   auto* rows = reinterpret_cast<std::uint64_t*>(section_ptr(fs::kCowenRows));
+  // section_ptr is nullptr for read-only arenas: mmap'd blobs are immutable
+  // by contract, so a delta against one always reports "recompile". The
+  // loader guarantees every other section below on a writable arena.
+  if (rows == nullptr) return false;
   auto* row_len =
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenRowLen));
   auto* landmark =
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmark));
   auto* landmark_port =
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmarkPort));
-  // section_ptr is nullptr for read-only arenas: mmap'd blobs are immutable
-  // by contract, so a delta against one always reports "recompile".
-  if (!rows || !row_len || !landmark || !landmark_port) return false;
-  // nullptr for writable v2 arenas (no mirror to maintain); v3 arenas
-  // always have it — the loader rejects them otherwise.
   auto* eyt = reinterpret_cast<std::uint64_t*>(section_ptr(fs::kCowenRowsEyt));
-  // nullptr for v2–v5 arenas, whose column patches are refused above.
   auto* cols =
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmarkCols));
   // Label sections exist exactly on kTz arenas; their patches are
@@ -1035,7 +968,6 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kLabelMap));
   auto* dict_base =
       reinterpret_cast<std::uint64_t*>(section_ptr(fs::kDictionary));
-  if (kind_ == FibKind::kTz && (!label_map || !dict_base)) return false;
 
   // Seqlock write. An odd generation here means a previous writer died
   // inside its patch window (or two writers raced, which the single-writer
@@ -1064,10 +996,10 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         const std::size_t begin = cowen_.row_off[p.row];
         const std::size_t cap = cowen_.row_off[p.row + 1] - begin;
         const std::size_t len = p.bytes.size() / 8;
+        sorted_scratch.resize(len);
         for (std::size_t i = 0; i < len; ++i) {
-          std::uint64_t e;
-          std::memcpy(&e, p.bytes.data() + i * 8, 8);
-          fib_seq_store_u64(rows + begin + i, e);
+          std::memcpy(&sorted_scratch[i], p.bytes.data() + i * 8, 8);
+          fib_seq_store_u64(rows + begin + i, sorted_scratch[i]);
         }
         for (std::size_t i = len; i < cap; ++i) {
           fib_seq_store_u64(rows + begin + i, 0);
@@ -1077,19 +1009,15 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         // readers never observe one image patched and the other stale
         // (generation recheck discards any in-window view either way, but
         // the post-window arena must satisfy the loader's mirror check).
-        if (eyt != nullptr) {
-          sorted_scratch.resize(len);
-          std::memcpy(sorted_scratch.data(), p.bytes.data(), len * 8);
-          eyt_scratch.assign(len, 0);
-          fib_eytzinger_from_sorted(sorted_scratch.data(),
-                                    static_cast<std::uint32_t>(len),
-                                    eyt_scratch.data());
-          for (std::size_t i = 0; i < len; ++i) {
-            fib_seq_store_u64(eyt + begin + i, eyt_scratch[i]);
-          }
-          for (std::size_t i = len; i < cap; ++i) {
-            fib_seq_store_u64(eyt + begin + i, 0);
-          }
+        eyt_scratch.assign(len, 0);
+        fib_eytzinger_from_sorted(sorted_scratch.data(),
+                                  static_cast<std::uint32_t>(len),
+                                  eyt_scratch.data());
+        for (std::size_t i = 0; i < len; ++i) {
+          fib_seq_store_u64(eyt + begin + i, eyt_scratch[i]);
+        }
+        for (std::size_t i = len; i < cap; ++i) {
+          fib_seq_store_u64(eyt + begin + i, 0);
         }
         break;
       }
@@ -1184,14 +1112,14 @@ FlatFib FibBuilder::finish() {
     if (id == fs::kCowenRows) rows = i;
     if (id == fs::kCowenRowsEyt) have_eyt = true;
   }
-  // v3: kCowen (and kTz, which shares the row layout) arenas must carry
-  // the Eytzinger mirror. Synthesize it from the sorted rows when the
-  // caller did not add one explicitly — compile adapters and
-  // hand-assembled test arenas alike go through here, so no caller can
-  // produce a v3+ blob with a missing or inconsistent mirror. Appended
-  // last so older section ordering (and the golden v2 layout it was
-  // pinned from) is a strict prefix of the v3 layout. Shape checks are
-  // skipped here: a malformed arena fails the loader below anyway.
+  // kCowen (and kTz, which shares the row layout) arenas must carry the
+  // Eytzinger mirror. Synthesize it from the sorted rows when the caller
+  // did not add one explicitly — compile adapters and hand-assembled test
+  // arenas alike go through here, so no caller can produce a blob with a
+  // missing or inconsistent mirror. Appended last, after the sections in
+  // the order the caller added them (the golden layouts pin it). Shape
+  // checks are skipped here: a malformed arena fails the loader below
+  // anyway.
   const bool synth_eyt =
       (kind_ == FibKind::kCowen || kind_ == FibKind::kTz) && !have_eyt &&
       roff != kNone && rlen != kNone && rows != kNone &&
@@ -1291,8 +1219,7 @@ FlatFib FibBuilder::finish() {
     put_u64(e + 16, sections_[mirror ? rows : i].bytes);
   }
   put_u64(base + kChecksumOffset,
-          fib_payload_checksum(kFibBlobVersion, base + payload_begin,
-                               total - payload_begin));
+          fib_payload_checksum(base + payload_begin, total - payload_begin));
   sections_.clear();
   return FlatFib::from_words(std::move(words));
 }

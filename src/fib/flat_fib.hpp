@@ -40,24 +40,31 @@
 // global ThreadPool; a checksum mismatch is reported in preference to
 // any structural error, as if the checksum had been verified first.
 //
-// Blob format v2 ("CPRFIB02") additionally makes the arena *patchable in
-// place*: Cowen row offsets describe per-row capacity (compile-time
-// slack, FibCompileOptions) with a separate kCowenRowLen live-length
-// array, apply_delta() rewrites changed rows from a FibDelta without
-// recompiling, a generation counter (odd while a patch is in flight)
-// lets readers detect torn reads, and the payload checksum is refreshed
-// lazily on the next blob() call rather than per patch.
+// The blob format is "CPRFIB06", the only one this build reads or
+// writes; an upgraded build recompiles and republishes rather than
+// reading an older arena. Beyond the sections above it makes the arena
+// *patchable in place*: Cowen row offsets describe per-row capacity
+// (compile-time slack, FibCompileOptions) with a separate kCowenRowLen
+// live-length array, apply_delta() rewrites changed rows and column
+// slots from a FibDelta without recompiling, a generation counter (odd
+// while a patch is in flight) lets readers detect torn reads, and the
+// payload checksum is refreshed lazily on the next blob() call rather
+// than per patch.
 //
-// Blob format v3 ("CPRFIB03") is the cache-conscious layout: kCowen
-// arenas carry an Eytzinger (BFS-order) mirror of every row's live
-// entries (kCowenRowsEyt, same capacity CSR as kCowenRows), so the hot
-// row search walks a branchless implicit tree whose first levels stay
-// resident in L1 across queries instead of a cache-cold binary search.
-// The sorted section remains the source of truth — apply_delta patches
-// both images inside one seqlock window, dumps re-validate both, and a
-// v2 blob (no mirror) still opens and serves through the binary-search
-// fallback. Large arenas additionally get transparent-huge-page backing
-// (util/hugepage.hpp) so random row probes stop paying dTLB misses.
+// The layout is cache-conscious: kCowen / kTz rows hold ball entries
+// only, and each has an Eytzinger (BFS-order) mirror (kCowenRowsEyt,
+// same capacity CSR as kCowenRows), so the hot row search walks a
+// branchless implicit tree whose first levels stay resident in L1 across
+// queries instead of a cache-cold binary search. The sorted section
+// remains the source of truth — apply_delta patches both images inside
+// one seqlock window and dumps re-validate both. The landmark entries
+// live in kCowenLandmarkCols — for each node u, |L| u32 ports indexed by
+// landmark rank (kInvalidPort where u does not reach the landmark) —
+// with kCowenLandmarkRank mapping each row key to its rank
+// (kNoLandmarkRank for non-landmarks), so a landmark entry is one column
+// load with no key stored. Large arenas additionally get
+// transparent-huge-page backing (util/hugepage.hpp) so random row probes
+// stop paying dTLB misses.
 //
 // Concurrency (the serving plane, docs/forwarding_plane.md "Serving from
 // shared arenas"): the generation counter is a real seqlock. One writer
@@ -75,30 +82,17 @@
 // cross-process readers of those files never see a torn row by
 // construction — new generations arrive as whole new files.
 //
-// Blob format v4 ("CPRFIB04") adds the label layer (routing/label.hpp):
-// optional kLabelMap (node→label permutation) and kDictionary
-// (hash-partitioned name→label buckets) sections, required for kTz
-// arenas — Thorup–Zwick name-independent tables whose rows are keyed by
-// *scheme-assigned labels* while queries arrive on external *names*.
-// The walkers resolve a name through the dictionary once per query and
-// then forward on labels; every other kind has no label sections and
-// keeps its identity name==label fast path untouched.
+// The label layer (routing/label.hpp): kTz arenas — Thorup–Zwick
+// name-independent tables whose rows are keyed by *scheme-assigned
+// labels* while queries arrive on external *names* — carry kLabelMap
+// (node→label permutation) and kDictionary (hash-partitioned name→label
+// buckets). The walker resolves a name through the dictionary once per
+// query and then forwards on labels; every other kind has no label
+// sections and keeps its identity name==label fast path untouched.
 //
-// Blob format v5 ("CPRFIB05") changes only the payload checksum: v2–v4
-// use byte-serial FNV-1a, v5 a chunked four-lane word hash
+// The payload checksum is a chunked four-lane word hash
 // (fib_payload_checksum) that the writer and the loader spread over the
-// global pool. v2–v5 blobs still open, serve and reseal in their own
-// checksum.
-//
-// Blob format v6 ("CPRFIB06") splits each kCowen / kTz table in two:
-// the rows (and their mirror) keep only ball entries, and the landmark
-// entries move to kCowenLandmarkCols — for each node u, |L| u32 ports
-// indexed by landmark rank (kInvalidPort where u does not reach the
-// landmark) — with kCowenLandmarkRank mapping each row key to its rank
-// (kNoLandmarkRank for non-landmarks). A landmark entry is then one
-// column load with no key stored, and a v2–v5 arena (no column section)
-// serves through the row search it always used. finish() writes v6 for
-// every kind.
+// global pool.
 //
 // Cross-process patching (fib/patch_channel.hpp) lifts the same seqlock
 // across processes: from_shared opens an arena inside a MAP_SHARED
@@ -130,7 +124,7 @@ enum class FibKind : std::uint32_t {
   kCowen = 3,     // landmark scheme tables
   kTable = 4,     // RLE destination tables (CompressedTableScheme)
   kMesh = 5,      // SVFC peer mesh (per-component trees + peering matrix)
-  kTz = 6,        // Thorup–Zwick name-independent landmark tables (v4):
+  kTz = 6,        // Thorup–Zwick name-independent landmark tables:
                   // Cowen-shaped rows keyed by *label*, plus a node→label
                   // map and a hash-partitioned name dictionary
 };
@@ -172,7 +166,7 @@ inline std::uint32_t fib_entry_port(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
-// --- Name dictionary (v4 label layer) --------------------------------
+// --- Name dictionary (the label layer) -------------------------------
 //
 // A kTz arena carries the scheme's name→label resolution state so the
 // walkers can serve *names* (external node ids) without the scheme
@@ -217,11 +211,10 @@ inline std::uint64_t fib_dict_bucket_count(std::size_t node_count) {
 // it ~1.2x ahead of the scan at 8 entries and ~2x from 16 up (the scan
 // pays a branchy hit-check per 4-entry chunk), and DRAM-cold rows
 // ~1.45x at 16, widening to ~2.2x at 128. The cutoff stays at 16
-// anyway: short rows on the scan path never touch the mirror, which is
-// what lets mirror-less CPRFIB02 arenas serve at full speed for their
-// dominant row population, and it stays pinned equal to the CSR port
-// cutoff (asserted in tests/test_fib_simd.cpp, which also pins both
-// search paths differentially).
+// anyway: short rows on the scan path never touch the mirror's cache
+// lines, and it stays pinned equal to the CSR port cutoff (asserted in
+// tests/test_fib_simd.cpp, which also pins both search paths
+// differentially).
 inline constexpr std::uint32_t kRowSearchLinearCutoff = 16;
 
 // Fills eyt[0 .. len) with the Eytzinger (BFS implicit-tree) permutation
@@ -232,13 +225,10 @@ inline constexpr std::uint32_t kRowSearchLinearCutoff = 16;
 void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
                                std::uint32_t len, std::uint64_t* eyt);
 
-// The blob version FibBuilder::finish writes.
-inline constexpr std::uint32_t kFibBlobVersion = 6;
-
 // kCowenLandmarkRank value of a key that is not a landmark.
 inline constexpr std::uint32_t kNoLandmarkRank = ~std::uint32_t{0};
 
-// The v5 payload checksum hashes fixed 1 MiB chunks independently, each
+// The payload checksum hashes fixed 1 MiB chunks independently, each
 // with four interleaved lanes of word-wise FNV-1a-64 (lane l takes words
 // 4k + l), then folds the lane results and the chunk digests in order
 // (docs/forwarding_plane.md). Every step is a bijection of the state and
@@ -247,19 +237,17 @@ inline constexpr std::uint32_t kNoLandmarkRank = ~std::uint32_t{0};
 inline constexpr std::size_t kFibChecksumChunkBytes = std::size_t{1} << 20;
 inline constexpr std::size_t kFibChecksumLanes = 4;
 
-// The checksum stored at header offset 32 for a blob of `version`:
-// byte-serial FNV-1a for v2–v4, the chunked word hash for v5, its chunks
-// run on the global ThreadPool (the result does not depend on the thread
-// count). The loader verifies it and finish and refresh_checksum write
-// it — one definition, so they cannot drift.
-std::uint64_t fib_payload_checksum(std::uint32_t version,
-                                   const std::uint8_t* data,
+// The checksum stored at header offset 32, its chunks run on the global
+// ThreadPool (the result does not depend on the thread count). The
+// loader verifies it and finish and refresh_checksum write it — one
+// definition, so they cannot drift.
+std::uint64_t fib_payload_checksum(const std::uint8_t* data,
                                    std::size_t nbytes);
 
-// Rewrites the payload checksum of the serialized blob blob[0, bytes) in
-// the hash its magic names, treating everything past the directory as
-// payload — how the patch-channel reader reseals snapshot copies. False
-// (blob untouched) when the magic or section count is unusable.
+// Rewrites the payload checksum of the serialized blob blob[0, bytes),
+// treating everything past the directory as payload — how the
+// patch-channel reader reseals snapshot copies. False (blob untouched)
+// when the magic is not "CPRFIB06" or the section count is unusable.
 bool fib_reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes);
 
 // Seqlock-protected loads/stores of the mutable arena sections. The
@@ -314,16 +302,14 @@ class FlatFib {
     const std::uint32_t* row_off = nullptr;  // n + 1
     const std::uint32_t* row_len = nullptr;  // n (live entries per row)
     const std::uint64_t* rows = nullptr;     // packed (target, port), sorted
-    // v3: Eytzinger mirror of each row's live prefix, same capacity CSR
-    // (row_off) and zeroed slack as `rows`. nullptr for v2 blobs — the
-    // engine then binary-searches the sorted image instead.
+    // Eytzinger mirror of each row's live prefix, same capacity CSR
+    // (row_off) and zeroed slack as `rows`.
     const std::uint64_t* eyt = nullptr;
     const std::uint32_t* landmark = nullptr;       // landmark_of per node
     const std::uint32_t* landmark_port = nullptr;  // port_at_landmark per node
-    // v6: node u's port toward the landmark of rank r is
+    // Node u's port toward the landmark of rank r is
     // cols[u * landmark_count + r]; rank[k] is the rank of row key k
-    // (node id, or label for kTz) or kNoLandmarkRank. Both nullptr for
-    // v2–v5 blobs, whose rows carry the landmark entries themselves.
+    // (node id, or label for kTz) or kNoLandmarkRank.
     const std::uint32_t* cols = nullptr;
     const std::uint32_t* rank = nullptr;
     std::uint32_t landmark_count = 0;
@@ -449,12 +435,6 @@ class FlatFib {
   FibKind kind() const { return kind_; }
   std::size_t node_count() const { return node_count_; }
   std::size_t byte_size() const { return bytes_; }
-  // 2 for a legacy "CPRFIB02" blob (no Eytzinger mirror), 3 for
-  // "CPRFIB03", 4 for "CPRFIB04" (label layer: kLabelMap/kDictionary
-  // sections; required for kTz), 5 for "CPRFIB05" (chunked word
-  // checksum), 6 for "CPRFIB06" (landmark port columns), the version
-  // every fresh compile writes.
-  std::uint32_t blob_version() const { return version_; }
 
   // Blob-relative byte offset of section `id`, 0 when absent.
   std::uint64_t section_offset(std::uint32_t id) const;
@@ -512,7 +492,6 @@ class FlatFib {
   bool writable_ = false;             // false: mmap'd/foreign, never patched
   std::size_t bytes_ = 0;             // meaningful prefix of the backing
   std::size_t payload_begin_ = 0;     // checksummed region [begin, bytes_)
-  std::uint32_t version_ = kFibBlobVersion;  // blob format version (2–6)
   FibKind kind_ = FibKind::kTree;
   std::size_t node_count_ = 0;
   std::vector<SectionEntry> sections_;
@@ -535,14 +514,14 @@ class FlatFib {
 // one copy is then the one into the blob. finish() lays out
 // the header, directory and section offsets, allocates the final word
 // buffer once and copies each section into it once (releasing the
-// section's own storage as it goes), synthesizes the v3 Eytzinger mirror
+// section's own storage as it goes), synthesizes the Eytzinger mirror
 // (kCowenRowsEyt) in place from the sorted rows already in the buffer
 // for kCowen and kTz arenas when the caller did not add one, checksums
 // the payload, writes the header, and opens the result with the full
 // validating loader — so every FlatFib in the process, freshly compiled
 // or reloaded, went through the same checks, checksum included.
-// Hand-assembled arenas (tests, tools) therefore cannot produce a v3+
-// blob with a missing or inconsistent mirror. Every kind serializes as
+// Hand-assembled arenas (tests, tools) therefore cannot produce a blob
+// with a missing or inconsistent mirror. Every kind serializes as
 // "CPRFIB06".
 class FibBuilder {
  public:
@@ -592,7 +571,7 @@ class FibBuilder {
   std::vector<Section> sections_;
 };
 
-// Section ids of the blob directory (stable across versions).
+// Section ids of the blob directory.
 namespace fib_section {
 inline constexpr std::uint32_t kTopoOffsets = 1;
 inline constexpr std::uint32_t kTopoNeighbor = 2;
@@ -608,9 +587,9 @@ inline constexpr std::uint32_t kCowenRowOff = 30;
 inline constexpr std::uint32_t kCowenRows = 31;
 inline constexpr std::uint32_t kCowenLandmark = 32;
 inline constexpr std::uint32_t kCowenLandmarkPort = 33;
-inline constexpr std::uint32_t kCowenRowLen = 34;  // v2: live entries per row
-inline constexpr std::uint32_t kCowenRowsEyt = 35;  // v3: Eytzinger mirror
-// v6: the n × |L| landmark port matrix and the key → landmark rank map.
+inline constexpr std::uint32_t kCowenRowLen = 34;   // live entries per row
+inline constexpr std::uint32_t kCowenRowsEyt = 35;  // Eytzinger mirror
+// The n × |L| landmark port matrix and the key → landmark rank map.
 inline constexpr std::uint32_t kCowenLandmarkCols = 36;
 inline constexpr std::uint32_t kCowenLandmarkRank = 37;
 inline constexpr std::uint32_t kTableRowOff = 40;
@@ -623,7 +602,7 @@ inline constexpr std::uint32_t kMeshNodes = 53;      // FibTreeNode × (n + 1)
 inline constexpr std::uint32_t kMeshLightPorts = 54;
 inline constexpr std::uint32_t kMeshLabelOff = 55;   // n + 1
 inline constexpr std::uint32_t kMeshLabelSeq = 56;
-// v4 label layer (kTz; optional for future labeled kinds).
+// The label layer (kTz only).
 inline constexpr std::uint32_t kLabelMap = 60;     // u32[n] node → label
 inline constexpr std::uint32_t kDictionary = 61;   // bucketed name → label
 }  // namespace fib_section

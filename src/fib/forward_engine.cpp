@@ -115,151 +115,58 @@ struct IntervalWalker {
   void prefetch(NodeId v) const { CPR_PREFETCH(&t.nodes[v]); }
 };
 
-// Last live entry with key <= `key`, loaded atomically; returns false
-// when the row has no such entry. Same contract as row_search. Shared by
-// the Cowen walker and the TZ walker (whose keys are labels).
-inline bool seq_row_search(const std::uint64_t* row, std::uint32_t len,
-                           std::uint32_t key, std::uint64_t* out) {
-  const std::uint64_t probe = fib_pack_entry(key, 0xffffffffu);
-  std::uint32_t lo = 0, hi = len;
-  while (lo < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    if (fib_seq_load_u64(row + mid) <= probe) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == 0) return false;
-  *out = fib_seq_load_u64(row + lo - 1);
-  return true;
-}
+// ---- The Cowen-family walker -----------------------------------------
+//
+// Theorem 3's forwarding decision, shared by the labeled kCowen kind and
+// the name-independent kTz kind: deliver when u holds the target key;
+// else the target's own entry — one column load when the target is a
+// landmark, a probe of u's ball row otherwise; else the landmark's own
+// hop; else the column toward the target's landmark. Two policies fill
+// in the rest:
+//
+//   Keys  — how a query's target and a hop's node become row keys:
+//           NodeKeys (kCowen, keys are node ids) or LabelKeys (kTz, one
+//           dictionary resolve per query and one label load per hop).
+//   Probe — how a ball row is searched: SeqlockRowProbe (binary search
+//           through the seqlock loads) or, on the lockstep path,
+//           SimdRowProbe (AVX2 scan of short rows, Eytzinger descent of
+//           long ones).
+//
+// kCowen and kTz are the kinds apply_delta patches, so every read of a
+// patched section goes through the seqlock load helpers (the SIMD probe's
+// row loads excepted, see SimdRowProbe): a relaxed atomic load racing
+// benignly with a concurrent writer. A torn window can hand back a
+// stale-or-new mixture of values — never out-of-bounds, since row_off is
+// the immutable capacity CSR and any stored row_len is within it — and
+// the generation recheck after the batch discards the whole result. The
+// rank map is never patched (the landmark set is pinned under churn), so
+// it is read plainly.
 
-// The v6 landmark columns as the walkers see them: the ranks of the
-// query's target and landmark keys, resolved once per query, and the
-// column slot a hop at u reads. v2–v5 arenas have no columns; both ranks
-// then stay kNoLandmarkRank and every lookup is the row search those
-// blobs were written for. The rank map is never patched (the landmark
-// set is pinned under churn), so it is read plainly; column slots are
-// patched and go through the seqlock load.
-struct LandmarkColumns {
-  const FlatFib::CowenView& t;
-  std::uint32_t node_count = 0;
-  std::uint32_t target_rank = kNoLandmarkRank;
-  std::uint32_t landmark_rank = kNoLandmarkRank;
-
-  explicit LandmarkColumns(const FlatFib& fib)
-      : t(fib.cowen()),
-        node_count(static_cast<std::uint32_t>(fib.node_count())) {}
-  std::uint32_t rank_of(std::uint32_t key) const {
-    return t.cols != nullptr && key < node_count ? t.rank[key]
-                                                 : kNoLandmarkRank;
-  }
-  void resolve(std::uint32_t target_key, std::uint32_t landmark_key) {
-    target_rank = rank_of(target_key);
-    landmark_rank = rank_of(landmark_key);
-  }
-  const std::uint32_t* slot(NodeId u, std::uint32_t r) const {
-    return t.cols + std::size_t{u} * t.landmark_count + r;
-  }
-  Port port(NodeId u, std::uint32_t r) const {
-    return r == kNoLandmarkRank ? kInvalidPort : fib_seq_load_u32(slot(u, r));
-  }
-  // The slot the hop at v reads unless its ball row answers first.
-  void prefetch(NodeId v) const {
-    const std::uint32_t r =
-        target_rank != kNoLandmarkRank ? target_rank : landmark_rank;
-    if (r != kNoLandmarkRank) CPR_PREFETCH(slot(v, r));
-  }
+// kCowen: a query's target is its own row key, and the packet has
+// arrived exactly when u == target.
+struct NodeKeys {
+  explicit NodeKeys(const FlatFib&) {}
+  std::uint32_t resolve(NodeId target) const { return target; }
+  std::uint32_t key_of(NodeId u) const { return u; }
 };
 
-// Cowen and TZ are the kinds apply_delta patches, so their walkers are
-// the only ones that read the arena through the seqlock load helpers:
-// every probe of rows / row_len / columns / landmark / landmark_port is a
-// relaxed atomic load racing benignly with a concurrent writer. A torn
-// window can hand back a stale-or-new mixture of values — never
-// out-of-bounds, since row_off is the immutable capacity CSR and any
-// stored row_len is within it — and the generation recheck after the
-// batch discards the whole result.
-struct CowenWalker {
-  const FlatFib::CowenView& t;
-  LandmarkColumns cols;
-  NodeId target = kInvalidNode;
-  NodeId landmark = kInvalidNode;
-  Port port_at_landmark = kInvalidPort;
+// kTz: the packet is addressed to a *name* (the external node id).
+// resolve() looks the name up once in the arena's hash-partitioned
+// dictionary to get the scheme-assigned target label, and every hop
+// after that compares and searches labels exclusively — the deliver test
+// is label_of[u] == target label, which (labels being a bijection) fires
+// exactly at the named node. The dictionary probe is scalar on both
+// paths: buckets average four entries, shorter than any vector ramp-up,
+// and it runs once per query, not per hop.
+struct LabelKeys {
+  const FlatFib::TzView& z;
 
-  explicit CowenWalker(const FlatFib& fib) : t(fib.cowen()), cols(fib) {}
-  void resolve(NodeId tgt) {
-    target = tgt;
-    landmark = fib_seq_load_u32(t.landmark + tgt);
-    port_at_landmark = fib_seq_load_u32(t.landmark_port + tgt);
-    cols.resolve(target, landmark);
-  }
-  bool search(const std::uint64_t* row, std::uint32_t len, std::uint32_t key,
-              std::uint64_t* out) const {
-    return seq_row_search(row, len, key, out);
-  }
-  StepResult step(NodeId u) const {
-    if (u == target) return {true, kInvalidPort};
-    // Same precedence as CowenScheme::forward: direct entry (one column
-    // load for a landmark target), the landmark's own hop, then the
-    // entry toward the landmark.
-    if (cols.target_rank != kNoLandmarkRank) {
-      return {false, cols.port(u, cols.target_rank)};
-    }
-    // row_off[u] is the row's *capacity* base; only the live prefix
-    // (row_len[u] entries) holds data, the rest is patching slack.
-    const std::uint64_t* row = t.rows + t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    std::uint64_t e;
-    if (search(row, len, target, &e) && fib_entry_key(e) == target) {
-      return {false, fib_entry_port(e)};
-    }
-    if (u == landmark) return {false, port_at_landmark};
-    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
-    if (search(row, len, landmark, &e) && fib_entry_key(e) == landmark) {
-      return {false, fib_entry_port(e)};
-    }
-    return {false, kInvalidPort};
-  }
-  void prefetch(NodeId v) const {
-    CPR_PREFETCH(&t.rows[t.row_off[v]]);
-    cols.prefetch(v);
-  }
-};
-
-// Thorup–Zwick name-independent walker: the Cowen decision procedure
-// lifted into label space, preceded by a per-query name resolution. The
-// packet is addressed to a *name* (the external node id); resolve()
-// looks the name up once in the arena's hash-partitioned dictionary to
-// get the scheme-assigned target label, and every hop after that
-// compares and searches labels exclusively — the deliver test is
-// label_of[u] == target_label, which (labels being a bijection) fires
-// exactly at the named node. This is the two-phase lookup of the label
-// layer; labeled kinds skip phase one entirely because their arenas
-// carry no dictionary and their keys *are* node ids. kTz arenas are
-// patched like kCowen ones (label map and dictionary included), so every
-// mutable-section probe goes through the seqlock load helpers.
-struct TzWalker {
-  const FlatFib::CowenView& t;  // rows/landmark arrays, label-keyed
-  const FlatFib::TzView& z;     // label map + name dictionary
-  LandmarkColumns cols;         // rank map label-keyed, columns by node
-  std::uint32_t node_count = 0;
-  std::uint32_t target_label = kInvalidNode;
-  std::uint32_t landmark_label = kInvalidNode;
-  Port port_at_landmark = kInvalidPort;
-
-  explicit TzWalker(const FlatFib& fib)
-      : t(fib.cowen()),
-        z(fib.tz()),
-        cols(fib),
-        node_count(static_cast<std::uint32_t>(fib.node_count())) {}
-
-  // Bucketed dictionary probe: scan the bucket's live prefix (strictly
-  // increasing by name, kFibDictEmpty fill) for the name. Unknown names
-  // return kInvalidNode — the walk then never delivers and drops at the
-  // first router, the honest fate of an unroutable destination.
-  std::uint32_t dict_resolve(std::uint32_t name) const {
+  explicit LabelKeys(const FlatFib& fib) : z(fib.tz()) {}
+  // Scans the bucket's live prefix (strictly increasing by name,
+  // kFibDictEmpty fill) for the name. Unknown names return kInvalidNode —
+  // the walk then never delivers and drops at the first router, the
+  // honest fate of an unroutable destination.
+  std::uint32_t resolve(NodeId name) const {
     const std::uint64_t b = fib_dict_bucket(name, z.dict_bucket_count);
     const std::uint64_t* slot = z.dict + b * z.dict_bucket_cap;
     for (std::uint64_t i = 0; i < z.dict_bucket_cap; ++i) {
@@ -271,47 +178,100 @@ struct TzWalker {
     }
     return kInvalidNode;
   }
+  std::uint32_t key_of(NodeId u) const {
+    return fib_seq_load_u32(z.label_of + u);
+  }
+};
 
-  void resolve(NodeId name) {
-    target_label = dict_resolve(name);
-    if (target_label < node_count) {
-      landmark_label = fib_seq_load_u32(t.landmark + target_label);
-      port_at_landmark = fib_seq_load_u32(t.landmark_port + target_label);
+// Scalar row probe: binary search of the live prefix for the last entry
+// with key <= `key`, every load through the seqlock helper, then an
+// exact-match test of that entry.
+struct SeqlockRowProbe {
+  static bool find(const FlatFib::CowenView& t, std::uint32_t off,
+                   std::uint32_t len, std::uint32_t key, Port* port_out) {
+    const std::uint64_t* row = t.rows + off;
+    const std::uint64_t probe = fib_pack_entry(key, 0xffffffffu);
+    std::uint32_t lo = 0, hi = len;
+    while (lo < hi) {
+      const std::uint32_t mid = (lo + hi) / 2;
+      if (fib_seq_load_u64(row + mid) <= probe) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo == 0) return false;
+    const std::uint64_t e = fib_seq_load_u64(row + lo - 1);
+    if (fib_entry_key(e) != key) return false;
+    *port_out = fib_entry_port(e);
+    return true;
+  }
+  static void prefetch(const FlatFib::CowenView& t, std::uint32_t off) {
+    CPR_PREFETCH(&t.rows[off]);
+  }
+};
+
+template <typename Keys, typename Probe>
+struct LandmarkWalker {
+  const FlatFib::CowenView& t;
+  Keys keys;
+  std::uint32_t node_count = 0;
+  std::uint32_t target = kInvalidNode;    // the target's row key
+  std::uint32_t landmark = kInvalidNode;  // its landmark's row key
+  Port port_at_landmark = kInvalidPort;
+  // Column ranks of the two keys, kNoLandmarkRank for non-landmarks.
+  std::uint32_t target_rank = kNoLandmarkRank;
+  std::uint32_t landmark_rank = kNoLandmarkRank;
+
+  explicit LandmarkWalker(const FlatFib& fib)
+      : t(fib.cowen()),
+        keys(fib),
+        node_count(static_cast<std::uint32_t>(fib.node_count())) {}
+
+  std::uint32_t rank_of(std::uint32_t key) const {
+    return key < node_count ? t.rank[key] : kNoLandmarkRank;
+  }
+  void resolve(NodeId tgt) {
+    target = keys.resolve(tgt);
+    if (target < node_count) {
+      landmark = fib_seq_load_u32(t.landmark + target);
+      port_at_landmark = fib_seq_load_u32(t.landmark_port + target);
     } else {
-      landmark_label = kInvalidNode;
+      landmark = kInvalidNode;
       port_at_landmark = kInvalidPort;
     }
-    cols.resolve(target_label, landmark_label);
+    target_rank = rank_of(target);
+    landmark_rank = rank_of(landmark);
+  }
+  const std::uint32_t* column(NodeId u, std::uint32_t r) const {
+    return t.cols + std::size_t{u} * t.landmark_count + r;
   }
   StepResult step(NodeId u) const {
-    const std::uint32_t ul = fib_seq_load_u32(z.label_of + u);
-    if (ul == target_label) return {true, kInvalidPort};
-    // Same precedence as the Cowen walker, in label space: direct entry,
-    // the landmark's own hop, then the entry toward the landmark. Row
-    // keys are labels < n, so an invalid target/landmark label (unknown
-    // name) can never match a key — nor carry a rank — and the packet
-    // drops.
-    if (cols.target_rank != kNoLandmarkRank) {
-      return {false, cols.port(u, cols.target_rank)};
+    const std::uint32_t key = keys.key_of(u);
+    if (key == target) return {true, kInvalidPort};
+    // Same precedence as CowenScheme::forward. Row keys are below n, so
+    // an invalid target or landmark key (an unknown name, no reachable
+    // landmark) never matches a key nor carries a rank: the packet drops.
+    if (target_rank != kNoLandmarkRank) {
+      return {false, fib_seq_load_u32(column(u, target_rank))};
     }
-    const std::uint64_t* row = t.rows + t.row_off[u];
+    // row_off[u] is the row's *capacity* base; only the live prefix
+    // (row_len[u] entries) holds data, the rest is patching slack.
+    const std::uint32_t off = t.row_off[u];
     const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    std::uint64_t e;
-    if (seq_row_search(row, len, target_label, &e) &&
-        fib_entry_key(e) == target_label) {
-      return {false, fib_entry_port(e)};
-    }
-    if (ul == landmark_label) return {false, port_at_landmark};
-    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
-    if (seq_row_search(row, len, landmark_label, &e) &&
-        fib_entry_key(e) == landmark_label) {
-      return {false, fib_entry_port(e)};
-    }
-    return {false, kInvalidPort};
+    Port port;
+    if (Probe::find(t, off, len, target, &port)) return {false, port};
+    if (key == landmark) return {false, port_at_landmark};
+    if (landmark_rank == kNoLandmarkRank) return {false, kInvalidPort};
+    return {false, fib_seq_load_u32(column(u, landmark_rank))};
   }
+  // The row the hop at v probes, and the column slot it reads unless its
+  // ball row answers first.
   void prefetch(NodeId v) const {
-    CPR_PREFETCH(&t.rows[t.row_off[v]]);
-    cols.prefetch(v);
+    Probe::prefetch(t, t.row_off[v]);
+    const std::uint32_t r =
+        target_rank != kNoLandmarkRank ? target_rank : landmark_rank;
+    if (r != kNoLandmarkRank) CPR_PREFETCH(column(v, r));
   }
 };
 
@@ -656,157 +616,24 @@ inline bool cowen_eyt_search(const std::uint64_t* eyt, std::uint32_t len,
   return true;
 }
 
-// Non-atomic binary search over the sorted image: the v2-blob fallback
-// when no Eytzinger mirror exists. Same exact-match contract.
-inline bool cowen_bsearch(const std::uint64_t* row, std::uint32_t len,
-                          std::uint32_t key, std::uint32_t* port_out) {
-  const std::uint64_t probe = fib_pack_entry(key, 0xffffffffu);
-  std::uint32_t lo = 0, hi = len;
-  while (lo < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    if (row[mid] <= probe) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == 0 || fib_entry_key(row[lo - 1]) != key) return false;
-  *port_out = fib_entry_port(row[lo - 1]);
-  return true;
-}
-
-// Cowen walker for the lockstep path: same decision procedure as
-// CowenWalker (direct entry, the landmark's own hop, entry toward the
-// landmark) with the row probe selected per row length — vectorized scan
-// of the sorted image at or under kRowSearchLinearCutoff, branchless
-// Eytzinger search of the v3 mirror above it (binary search when serving
-// a v2 blob). Keys are unique per row, so every probe flavor agrees with
-// the scalar walker's search bit for bit. Loads are plain (not
+// Lockstep row probe for LandmarkWalker: the vectorized scan of the
+// sorted image at or under kRowSearchLinearCutoff, the branchless
+// Eytzinger search of the mirror above it. Keys are unique per row, so
+// both agree with SeqlockRowProbe bit for bit. Loads are plain (not
 // atomic_ref): benign under the seqlock because row_off is immutable and
 // torn values are discarded by the generation recheck; TSan builds never
 // reach this type.
-struct CowenSimdWalker {
-  const FlatFib::CowenView& t;
-  LandmarkColumns cols;
-  NodeId target = kInvalidNode;
-  NodeId landmark = kInvalidNode;
-  Port port_at_landmark = kInvalidPort;
-
-  explicit CowenSimdWalker(const FlatFib& fib) : t(fib.cowen()), cols(fib) {}
-  void resolve(NodeId tgt) {
-    target = tgt;
-    landmark = fib_seq_load_u32(t.landmark + tgt);
-    port_at_landmark = fib_seq_load_u32(t.landmark_port + tgt);
-    cols.resolve(target, landmark);
-  }
-  bool find(std::uint32_t off, std::uint32_t len, std::uint32_t key,
-            std::uint32_t* port_out) const {
+struct SimdRowProbe {
+  static bool find(const FlatFib::CowenView& t, std::uint32_t off,
+                   std::uint32_t len, std::uint32_t key, Port* port_out) {
     if (len <= kRowSearchLinearCutoff) {
       return cowen_scan_avx2(t.rows + off, len, key, port_out);
     }
-    if (t.eyt != nullptr) {
-      return cowen_eyt_search(t.eyt + off, len, key, port_out);
-    }
-    return cowen_bsearch(t.rows + off, len, key, port_out);
+    return cowen_eyt_search(t.eyt + off, len, key, port_out);
   }
-  StepResult step(NodeId u) const {
-    if (u == target) return {true, kInvalidPort};
-    if (cols.target_rank != kNoLandmarkRank) {
-      return {false, cols.port(u, cols.target_rank)};
-    }
-    const std::uint32_t off = t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    std::uint32_t port;
-    if (find(off, len, target, &port)) return {false, port};
-    if (u == landmark) return {false, port_at_landmark};
-    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
-    if (find(off, len, landmark, &port)) return {false, port};
-    return {false, kInvalidPort};
-  }
-  void prefetch(NodeId v) const {
-    const std::uint32_t off = t.row_off[v];
+  static void prefetch(const FlatFib::CowenView& t, std::uint32_t off) {
     CPR_PREFETCH(&t.rows[off]);
-    if (t.eyt != nullptr) CPR_PREFETCH(&t.eyt[off]);
-    cols.prefetch(v);
-  }
-};
-
-// TZ walker for the lockstep path: TzWalker's label-space decision
-// procedure with CowenSimdWalker's per-row probe selection (vectorized
-// scan under the cutoff, Eytzinger mirror above it). The dictionary
-// probe stays scalar — buckets average four entries, shorter than any
-// vector ramp-up — and runs once per query, not per hop. Loads are plain
-// for the same reason as CowenSimdWalker's: benign under the seqlock,
-// discarded by the generation recheck, and TSan builds never reach this
-// type.
-struct TzSimdWalker {
-  const FlatFib::CowenView& t;
-  const FlatFib::TzView& z;
-  LandmarkColumns cols;
-  std::uint32_t node_count = 0;
-  std::uint32_t target_label = kInvalidNode;
-  std::uint32_t landmark_label = kInvalidNode;
-  Port port_at_landmark = kInvalidPort;
-
-  explicit TzSimdWalker(const FlatFib& fib)
-      : t(fib.cowen()),
-        z(fib.tz()),
-        cols(fib),
-        node_count(static_cast<std::uint32_t>(fib.node_count())) {}
-
-  std::uint32_t dict_resolve(std::uint32_t name) const {
-    const std::uint64_t b = fib_dict_bucket(name, z.dict_bucket_count);
-    const std::uint64_t* slot = z.dict + b * z.dict_bucket_cap;
-    for (std::uint64_t i = 0; i < z.dict_bucket_cap; ++i) {
-      const std::uint64_t e = slot[i];
-      if (e == kFibDictEmpty) break;
-      const std::uint32_t key = fib_entry_key(e);
-      if (key == name) return fib_entry_port(e);
-      if (key > name) break;
-    }
-    return kInvalidNode;
-  }
-
-  void resolve(NodeId name) {
-    target_label = dict_resolve(name);
-    if (target_label < node_count) {
-      landmark_label = fib_seq_load_u32(t.landmark + target_label);
-      port_at_landmark = fib_seq_load_u32(t.landmark_port + target_label);
-    } else {
-      landmark_label = kInvalidNode;
-      port_at_landmark = kInvalidPort;
-    }
-    cols.resolve(target_label, landmark_label);
-  }
-  bool find(std::uint32_t off, std::uint32_t len, std::uint32_t key,
-            std::uint32_t* port_out) const {
-    if (len <= kRowSearchLinearCutoff) {
-      return cowen_scan_avx2(t.rows + off, len, key, port_out);
-    }
-    if (t.eyt != nullptr) {
-      return cowen_eyt_search(t.eyt + off, len, key, port_out);
-    }
-    return cowen_bsearch(t.rows + off, len, key, port_out);
-  }
-  StepResult step(NodeId u) const {
-    if (z.label_of[u] == target_label) return {true, kInvalidPort};
-    if (cols.target_rank != kNoLandmarkRank) {
-      return {false, cols.port(u, cols.target_rank)};
-    }
-    const std::uint32_t off = t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    std::uint32_t port;
-    if (find(off, len, target_label, &port)) return {false, port};
-    if (z.label_of[u] == landmark_label) return {false, port_at_landmark};
-    if (t.cols != nullptr) return {false, cols.port(u, cols.landmark_rank)};
-    if (find(off, len, landmark_label, &port)) return {false, port};
-    return {false, kInvalidPort};
-  }
-  void prefetch(NodeId v) const {
-    const std::uint32_t off = t.row_off[v];
-    CPR_PREFETCH(&t.rows[off]);
-    if (t.eyt != nullptr) CPR_PREFETCH(&t.eyt[off]);
-    cols.prefetch(v);
+    CPR_PREFETCH(&t.eyt[off]);
   }
 };
 
@@ -1271,11 +1098,9 @@ FibBatchOutput forward_batch(const FlatFib& fib,
                                                       cache_stats[s]);
               break;
             case FibKind::kCowen:
-              dispatch_shard_lockstep<CowenSimdWalker>(fib, queries, indices,
-                                                       opt, max_hops,
-                                                       out.results,
-                                                       shard_paths[s],
-                                                       cache_stats[s]);
+              dispatch_shard_lockstep<LandmarkWalker<NodeKeys, SimdRowProbe>>(
+                  fib, queries, indices, opt, max_hops, out.results,
+                  shard_paths[s], cache_stats[s]);
               break;
             case FibKind::kTable:
               dispatch_shard_lockstep<TableWalker>(fib, queries, indices,
@@ -1290,11 +1115,9 @@ FibBatchOutput forward_batch(const FlatFib& fib,
                                                   cache_stats[s]);
               break;
             case FibKind::kTz:
-              dispatch_shard_lockstep<TzSimdWalker>(fib, queries, indices,
-                                                    opt, max_hops,
-                                                    out.results,
-                                                    shard_paths[s],
-                                                    cache_stats[s]);
+              dispatch_shard_lockstep<LandmarkWalker<LabelKeys, SimdRowProbe>>(
+                  fib, queries, indices, opt, max_hops, out.results,
+                  shard_paths[s], cache_stats[s]);
               break;
           }
           std::atomic_thread_fence(std::memory_order_acquire);
@@ -1313,9 +1136,9 @@ FibBatchOutput forward_batch(const FlatFib& fib,
                                            shard_paths[s], cache_stats[s]);
             break;
           case FibKind::kCowen:
-            dispatch_shard<CowenWalker>(fib, queries, indices, opt, max_hops,
-                                        out.results, shard_paths[s],
-                                        cache_stats[s]);
+            dispatch_shard<LandmarkWalker<NodeKeys, SeqlockRowProbe>>(
+                fib, queries, indices, opt, max_hops, out.results,
+                shard_paths[s], cache_stats[s]);
             break;
           case FibKind::kTable:
             dispatch_shard<TableWalker>(fib, queries, indices, opt, max_hops,
@@ -1328,9 +1151,9 @@ FibBatchOutput forward_batch(const FlatFib& fib,
                                        cache_stats[s]);
             break;
           case FibKind::kTz:
-            dispatch_shard<TzWalker>(fib, queries, indices, opt, max_hops,
-                                     out.results, shard_paths[s],
-                                     cache_stats[s]);
+            dispatch_shard<LandmarkWalker<LabelKeys, SeqlockRowProbe>>(
+                fib, queries, indices, opt, max_hops, out.results,
+                shard_paths[s], cache_stats[s]);
             break;
         }
         std::atomic_thread_fence(std::memory_order_acquire);

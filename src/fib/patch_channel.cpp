@@ -39,10 +39,11 @@ void atomic_store_u64(std::uint8_t* p, std::uint64_t v) {
 // Validates a snapshot copy end to end: segment checksum already held,
 // now the blob itself. A snapshot taken mid-churn carries patched rows
 // but the pre-patch payload checksum (flat_fib.hpp refreshes it lazily,
-// never through the channel), so the copy is resealed in its own blob
-// version's hash before FlatFib's full structural open runs against the
-// private bytes; the segment's position-weighted checksum has already
-// vouched for the copied bytes at this point.
+// never through the channel), so the copy is resealed before FlatFib's
+// full structural open runs against the private bytes; the segment's
+// position-weighted checksum has already vouched for the copied bytes at
+// this point. A blob of any other format version fails the reseal and
+// is refused.
 bool validate_blob_copy(std::vector<std::uint64_t>& words,
                         std::size_t payload_bytes) {
   auto* bytes = reinterpret_cast<std::uint8_t*>(words.data());
@@ -570,8 +571,7 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
     const FibDelta& delta) const {
   namespace fsid = fib_section;
   const auto& cw = fib_.cowen();
-  // Blob-relative byte offsets of the patchable sections; the mirror's
-  // is 0 when the blob has none (v2).
+  // Blob-relative byte offsets of the patchable sections.
   const std::uint64_t rows_off = fib_.section_offset(fsid::kCowenRows);
   const std::uint64_t eyt_off = fib_.section_offset(fsid::kCowenRowsEyt);
   const std::uint64_t row_len_off = fib_.section_offset(fsid::kCowenRowLen);
@@ -589,7 +589,7 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
         const std::size_t end = cw.row_off[p.row + 1];
         for (std::size_t i = begin; i < end; ++i) {
           words.push_back(rows_off / 8 + i);
-          if (eyt_off != 0) words.push_back(eyt_off / 8 + i);
+          words.push_back(eyt_off / 8 + i);
         }
         words.push_back((row_len_off + 4 * std::size_t{p.row}) / 8);
         break;
@@ -601,9 +601,8 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
         words.push_back((landmark_port_off + 4 * std::size_t{p.row}) / 8);
         break;
       case fsid::kCowenLandmarkCols:
-        // Packed (rank, port) words; a v2–v5 segment has no columns and
-        // apply_delta refuses the delta.
-        if (cols_off == 0) break;
+        // Packed (rank, port) words; out-of-range ranks are apply_delta's
+        // to refuse.
         for (std::size_t i = 0; i + 8 <= p.bytes.size(); i += 8) {
           std::uint64_t e;
           std::memcpy(&e, p.bytes.data() + i, 8);

@@ -45,10 +45,11 @@
 // snapshot validation: copy the blob through relaxed atomic word loads
 // bracketed by two reads of `seq` (retry unless even and unchanged),
 // verify the header checksum against the copy, re-seal the copy's inner
-// payload checksum in its blob version's hash (fib_reseal_blob_checksum),
-// and run FlatFib's full structural validation on the private
-// bytes. Only then is the *live* mapping served, via from_shared — which
-// skips content checks precisely because this snapshot already ran them.
+// payload checksum (fib_reseal_blob_checksum, which refuses any blob
+// format but "CPRFIB06"), and run FlatFib's full structural validation
+// on the private bytes. Only then is the *live* mapping served, via
+// from_shared — which skips content checks precisely because this
+// snapshot already ran them.
 //
 // Failover: writers are fenced by flock(2) on <dir>/writer.lock — the
 // kernel drops the lock when the owner dies, even by SIGKILL, so a

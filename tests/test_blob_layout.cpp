@@ -13,21 +13,15 @@
 // CPR_UPDATE_GOLDEN=1) — silently shifting bytes would make every
 // published arena in a fleet unreadable or, worse, misread.
 //
-// The earlier formats' pins stay in the tree as *backward-compat*
-// artifacts: a fleet rolls forward with old blobs still on disk, so
-// today's loader must keep opening, serving and resealing yesterday's
-// bytes. cowen_small_v2.hex has no Eytzinger mirror (binary-search
-// path); cowen_small_v3.hex and cowen_small_v4.hex (the kTz arena)
-// carry FNV-1a payload checksums; cowen_small_v5.hex and tz_small_v5.hex
-// carry the landmark entries in their rows (no columns).
-#include "fib/fib_delta.hpp"
+// "CPRFIB06" is the only format the loader opens: an upgraded build
+// recompiles and republishes instead of reading older arenas, and a blob
+// stamped with an older magic is rejected by name.
 #include "fib/flat_fib.hpp"
 #include "fib/forward_engine.hpp"
 #include "graph/graph.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -46,16 +40,6 @@ const std::string kGoldenPath =
     std::string(CPR_GOLDEN_DIR) + "/cowen_small_v6.hex";
 const std::string kGoldenTzPath =
     std::string(CPR_GOLDEN_DIR) + "/tz_small_v6.hex";
-const std::string kGoldenV5Path =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v5.hex";
-const std::string kGoldenTzV5Path =
-    std::string(CPR_GOLDEN_DIR) + "/tz_small_v5.hex";
-const std::string kGoldenV2Path =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v2.hex";
-const std::string kGoldenV3Path =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v3.hex";
-const std::string kGoldenV4Path =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v4.hex";
 
 // The golden arena: a 3-node path 0-1-2 with fully hand-written Cowen
 // sections (capacity 2 per row, node 1 as everyone's landmark, rank 0).
@@ -96,7 +80,7 @@ FlatFib build_golden_fib() {
 // node 0 → 2, node 1 → 0, node 2 → 1. Ball rows are re-keyed (and
 // re-sorted) by label, the landmark and rank arrays are indexed by
 // label, the columns stay indexed by node, and the label sections pin
-// the v4 wire format: the label map and the bucketed name → label
+// their wire format: the label map and the bucketed name → label
 // dictionary (one bucket of capacity 4 at n = 3, exactly what
 // fib_dict_bucket_count sizes).
 FlatFib build_golden_tz_fib() {
@@ -244,160 +228,56 @@ TEST(BlobLayout, GoldenFileMatchesByteForByte) {
   expect_golden(build_golden_fib().blob(), kGoldenPath);
 }
 
-// Yesterday's wire format: the committed v2 golden (no Eytzinger
-// mirror) must keep opening under today's validator and serve the same
-// routes — fleets roll the binary forward without republishing arenas.
-TEST(BlobLayout, V2BlobStillOpensAndServes) {
-  const std::vector<std::uint8_t> golden = read_golden(kGoldenV2Path);
+// The committed Cowen golden opens under today's validator and routes.
+TEST(BlobLayout, GoldenBytesReopenAndServe) {
+  const std::vector<std::uint8_t> golden = read_golden(kGoldenPath);
   const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
-  EXPECT_EQ(fib.blob_version(), 2u);
   EXPECT_EQ(fib.kind(), FibKind::kCowen);
-  EXPECT_EQ(fib.cowen().eyt, nullptr);  // no mirror: binary-search path
+  EXPECT_EQ(fib.node_count(), 3u);
+  EXPECT_EQ(fib.cowen().landmark_count, 1u);
   expect_serves_path(fib);
 }
 
-// The committed Cowen goldens — today's v6, the v5 compat pin (landmark
-// entries in the rows) and the FNV-1a v3 one — open under today's
-// validator, report their own version and route; only v6 carries the
-// landmark columns.
-TEST(BlobLayout, GoldenBytesReopenAndServe) {
-  for (const auto& [path, version] :
-       {std::pair{kGoldenPath, 6u}, std::pair{kGoldenV5Path, 5u},
-        std::pair{kGoldenV3Path, 3u}}) {
-    SCOPED_TRACE(path);
-    const std::vector<std::uint8_t> golden = read_golden(path);
-    const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
-    EXPECT_EQ(fib.blob_version(), version);
-    EXPECT_EQ(fib.kind(), FibKind::kCowen);
-    EXPECT_EQ(fib.node_count(), 3u);
-    EXPECT_NE(fib.cowen().eyt, nullptr);
-    EXPECT_EQ(fib.cowen().cols != nullptr, version >= 6);
-    expect_serves_path(fib);
+// The golden restamped with each older format's magic is rejected by
+// version — the loader does not guess at a layout it no longer reads —
+// and the reseal refuses it without touching a byte.
+class OldBlobMagic : public ::testing::TestWithParam<char> {};
+
+TEST_P(OldBlobMagic, IsRejectedByVersion) {
+  std::vector<std::uint8_t> bytes = read_golden(kGoldenPath);
+  ASSERT_GE(bytes.size(), 8u);
+  bytes[7] = static_cast<std::uint8_t>(GetParam());
+  EXPECT_EQ(open_error(bytes),
+            std::string("FlatFib: unsupported blob version ") + GetParam());
+  const std::vector<std::uint8_t> before = bytes;
+  EXPECT_FALSE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
+  EXPECT_EQ(bytes, before);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlobLayout, OldBlobMagic,
+                         ::testing::Values('2', '3', '4', '5'),
+                         [](const ::testing::TestParamInfo<char>& info) {
+                           return std::string("CPRFIB0") + info.param;
+                         });
+
+// Anything that is not "CPRFIB0" plus a digit is not a FIB blob at all.
+TEST(BlobLayout, ForeignMagicIsBadMagic) {
+  std::vector<std::uint8_t> bytes = read_golden(kGoldenPath);
+  ASSERT_GE(bytes.size(), 8u);
+  for (const std::size_t at : {std::size_t{0}, std::size_t{6},
+                               std::size_t{7}}) {
+    std::vector<std::uint8_t> bad = bytes;
+    bad[at] = 'x';
+    EXPECT_EQ(open_error(bad), "FlatFib: bad magic") << "byte " << at;
   }
 }
 
-// v6 moved the landmark entries out of the rows, not the routes: the v6
-// golden and the v5 compat pin of the same arena forward every pair of
-// the path graph along the same path, on both dispatch paths — and the
-// v5 arena, which has no columns, refuses a column patch untouched.
-TEST(BlobLayout, V6ServesLikeTheV5GoldenItReplaces) {
-  const std::vector<std::uint8_t> v5 = read_golden(kGoldenV5Path);
-  FlatFib old_layout = FlatFib::from_blob(v5);
-  const FlatFib fib = build_golden_fib();
-  std::vector<std::pair<NodeId, NodeId>> queries;
-  for (NodeId s = 0; s < 3; ++s) {
-    for (NodeId t = 0; t < 3; ++t) queries.emplace_back(s, t);
-  }
-  for (const FibDispatch mode : {FibDispatch::kScalar, FibDispatch::kSimd}) {
-    FibBatchOptions opt;
-    opt.dispatch = mode;
-    const FibBatchOutput a = forward_batch(old_layout, queries, opt);
-    const FibBatchOutput b = forward_batch(fib, queries, opt);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(a.results[i].delivered, b.results[i].delivered) << i;
-      const auto pa = a.path(i);
-      const auto pb = b.path(i);
-      EXPECT_TRUE(std::equal(pa.begin(), pa.end(), pb.begin(), pb.end()))
-          << "query " << i << " dispatch " << static_cast<int>(mode);
-    }
-  }
-  FibDelta delta;
-  delta.patches.push_back(fib_patch_row_u64(fib_section::kCowenLandmarkCols,
-                                            0, {fib_pack_entry(0, 0)}));
-  EXPECT_FALSE(old_layout.apply_delta(delta));
-  const auto after = old_layout.blob();
-  EXPECT_TRUE(std::equal(after.begin(), after.end(), v5.begin(), v5.end()));
-}
-
-// The v4 and v5 kTz compat pins keep opening and serving names through
-// their dictionaries, with the landmark entries in their rows.
-TEST(BlobLayout, V4TzBlobStillOpensAndServes) {
-  for (const auto& [path, version] :
-       {std::pair{kGoldenV4Path, 4u}, std::pair{kGoldenTzV5Path, 5u}}) {
-    SCOPED_TRACE(path);
-    const std::vector<std::uint8_t> golden = read_golden(path);
-    const FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
-    EXPECT_EQ(fib.blob_version(), version);
-    EXPECT_EQ(fib.kind(), FibKind::kTz);
-    EXPECT_EQ(fib.cowen().cols, nullptr);
-    expect_serves_path(fib);
-  }
-}
-
-// v5 changed the checksum and nothing else: the committed v5 golden,
-// stamped back to the compat magic and resealed (which picks FNV-1a from
-// the magic), is the committed v3 / v4 golden byte for byte.
-TEST(BlobLayout, V5DiffersFromCompatGoldensOnlyInMagicAndChecksum) {
-  const struct {
-    std::string v5_path;
-    std::string compat_path;
-    char digit;
-  } cases[] = {{kGoldenV5Path, kGoldenV3Path, '3'},
-               {kGoldenTzV5Path, kGoldenV4Path, '4'}};
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.compat_path);
-    const std::vector<std::uint8_t> blob = read_golden(c.v5_path);
-    ASSERT_EQ(FlatFib::from_blob(blob).blob_version(), 5u);
-    const std::vector<std::uint8_t> golden = read_golden(c.compat_path);
-    ASSERT_EQ(blob.size(), golden.size());
-    for (std::size_t i = 0; i < golden.size(); ++i) {
-      const bool may_differ = i == 7 || (i >= 32 && i < 40);
-      if (!may_differ) {
-        ASSERT_EQ(blob[i], golden[i]) << "byte " << i;
-      }
-    }
-    std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
-    bytes[7] = static_cast<std::uint8_t>(c.digit);
-    ASSERT_TRUE(fib_reseal_blob_checksum(bytes.data(), bytes.size()));
-    EXPECT_EQ(bytes, golden);
-  }
-}
-
-// The guard against resealing an old blob in the new hash: every compat
-// golden, loaded writable and patched, must dump a blob that reopens as
-// its own version — refresh_checksum picks the hash from the blob, not
-// from what finish() writes today.
-TEST(BlobLayout, CompatGoldensResealInTheirOwnVersion) {
-  for (const auto& [path, version] :
-       {std::pair{kGoldenV2Path, 2u}, std::pair{kGoldenV3Path, 3u},
-        std::pair{kGoldenV4Path, 4u}, std::pair{kGoldenV5Path, 5u},
-        std::pair{kGoldenTzV5Path, 5u}}) {
-    SCOPED_TRACE(path);
-    const std::vector<std::uint8_t> golden = read_golden(path);
-    FlatFib fib = FlatFib::from_blob({golden.data(), golden.size()});
-    ASSERT_EQ(fib.blob_version(), version);
-    ASSERT_TRUE(fib.writable());
-    // Row 0 holds one entry toward key k; add a second toward k + 1 on
-    // the same port (keys are node ids for kCowen, labels for kTz).
-    const std::uint64_t first = fib.cowen().rows[fib.cowen().row_off[0]];
-    ASSERT_EQ(fib.cowen().row_len[0], 1u);
-    FibDelta delta;
-    const std::uint64_t row[2] = {
-        first, fib_pack_entry(fib_entry_key(first) + 1, fib_entry_port(first))};
-    const auto* row_bytes = reinterpret_cast<const std::uint8_t*>(row);
-    delta.patches.push_back(
-        {fib_section::kCowenRows, 0, {row_bytes, row_bytes + sizeof(row)}});
-    ASSERT_TRUE(fib.apply_delta(delta));
-
-    const auto blob = fib.blob();
-    EXPECT_EQ(std::memcmp(blob.data(), golden.data(), 8), 0) << "magic moved";
-    EXPECT_NE(read_le<std::uint64_t>(blob, 32),
-              read_le<std::uint64_t>(golden, 32))
-        << "the patch changed the payload, so the checksum must move";
-    const FlatFib reopened = FlatFib::from_blob(blob);
-    EXPECT_EQ(reopened.blob_version(), version);
-    EXPECT_EQ(reopened.cowen().row_len[0], 2u);
-    EXPECT_TRUE(std::equal(blob.begin(), blob.end(),
-                           reopened.blob().begin(), reopened.blob().end()));
-  }
-}
-
-// The v6 kTz pin: same update discipline as the Cowen golden.
+// The kTz pin: same update discipline as the Cowen golden.
 TEST(BlobLayout, TzGoldenFileMatchesByteForByte) {
   expect_golden(build_golden_tz_fib().blob(), kGoldenTzPath);
 }
 
-// v6 kTz header + directory shape, and the name-addressed routes: names
+// kTz header + directory shape, and the name-addressed routes: names
 // resolve through the dictionary, forwarding runs in label space, and
 // the path graph still delivers 0 → 2 through the landmark at node 1.
 TEST(BlobLayout, TzGoldenBytesReopenAndServe) {
@@ -411,23 +291,8 @@ TEST(BlobLayout, TzGoldenBytesReopenAndServe) {
   EXPECT_EQ(read_le<std::uint32_t>(blob, 16), 13u);
 
   const FlatFib reopened = FlatFib::from_blob({blob.data(), blob.size()});
-  EXPECT_EQ(reopened.blob_version(), 6u);
   EXPECT_EQ(reopened.kind(), FibKind::kTz);
   expect_serves_path(reopened);
-}
-
-// A kTz kind stamped into a pre-v4 container must be rejected: the label
-// sections it depends on cannot exist there, and an old reader's "unknown
-// kind" failure is exactly what the version gate reproduces forward.
-TEST(BlobLayout, TzKindInV3ContainerIsRejected) {
-  const FlatFib fib = build_golden_fib();
-  const auto blob = fib.blob();
-  std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
-  bytes[7] = '3';  // a v3 container
-  std::uint32_t kind = 6;  // kTz
-  std::memcpy(bytes.data() + 8, &kind, 4);
-  EXPECT_EQ(open_error(bytes),
-            "FlatFib: tz arenas require blob version 4 or later");
 }
 
 // The layout promises, stated as offsets — the documentation of record
@@ -455,8 +320,7 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
   // Directory: 24-byte entries {id u32, pad u32, offset u64, bytes u64}
   // starting at byte 40; offsets are blob-relative and 64-byte aligned;
   // sections appear in the order the builder added them, with the
-  // synthesized v3 Eytzinger mirror appended last — so the v2 ordering
-  // is a strict prefix of the v3 ordering.
+  // synthesized Eytzinger mirror appended last.
   const std::uint32_t expected_ids[] = {
       fib_section::kTopoOffsets,       fib_section::kTopoNeighbor,
       fib_section::kTopoEdge,          fib_section::kCowenRowOff,

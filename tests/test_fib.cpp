@@ -238,9 +238,7 @@ TEST(FibBlob, EveryByteFlipIsRejected) {
 // checksum and the same structural validation as everything else; a TZ
 // blob must reject every single-byte flip just like a Cowen one.
 TEST(FibBlob, TzEveryByteFlipIsRejected) {
-  const FlatFib fib = sample_tz_fib();
-  ASSERT_EQ(fib.blob_version(), 6u);
-  expect_every_byte_flip_rejected(fib);
+  expect_every_byte_flip_rejected(sample_tz_fib());
 }
 
 TEST(FibBlob, TruncationIsRejected) {
@@ -340,9 +338,8 @@ TEST(FibAssembly, MovedAndCopiedSectionsGiveIdenticalBlobs) {
     EXPECT_EQ(blob_bytes(reassemble(*fib, inst.g, /*move_in=*/false)),
               compiled);
   }
-  // The slack profile really changed the layout, and TZ is a v6 blob.
+  // The slack profile really changed the layout.
   EXPECT_NE(inst.cowen.byte_size(), inst.cowen_slack.byte_size());
-  EXPECT_EQ(inst.tz.blob_version(), 6u);
 }
 
 std::string open_error(const std::vector<std::uint8_t>& bytes) {
@@ -450,7 +447,7 @@ TEST(FibAssembly, BlobCorruptBothWaysIsRejected) {
   EXPECT_EQ(open_error(bytes), "FlatFib: cowen rows: offsets mismatch payload");
 }
 
-// ---- The v5 payload checksum ----
+// ---- The payload checksum ----
 //
 // The reference below is written straight from the format definition
 // (docs/forwarding_plane.md): serial, byte-addressed, no pool. The
@@ -461,13 +458,7 @@ TEST(FibAssembly, BlobCorruptBothWaysIsRejected) {
 constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-std::uint64_t reference_fnv1a(const std::vector<std::uint8_t>& p) {
-  std::uint64_t h = kFnvBasis;
-  for (const std::uint8_t b : p) h = (h ^ b) * kFnvPrime;
-  return h;
-}
-
-std::uint64_t reference_v5(const std::vector<std::uint8_t>& p) {
+std::uint64_t reference_checksum(const std::vector<std::uint8_t>& p) {
   const auto step = [](std::uint64_t h, std::uint64_t w) {
     return (h ^ w) * kFnvPrime;
   };
@@ -507,12 +498,8 @@ TEST(FibChecksum, MatchesTheFormatDefinition) {
         kChunk - 8, kChunk, kChunk + 8, 2 * kChunk + 43, 3 * kChunk - 8}) {
     SCOPED_TRACE(n);
     const auto bytes = pattern_bytes(n, n + 1);
-    EXPECT_EQ(fib_payload_checksum(5, bytes.data(), n), reference_v5(bytes));
-    for (const std::uint32_t version : {2u, 3u, 4u}) {
-      EXPECT_EQ(fib_payload_checksum(version, bytes.data(), n),
-                reference_fnv1a(bytes))
-          << "version " << version;
-    }
+    EXPECT_EQ(fib_payload_checksum(bytes.data(), n),
+              reference_checksum(bytes));
   }
 }
 
@@ -521,10 +508,10 @@ TEST(FibChecksum, MatchesTheFormatDefinition) {
 // every bit of 64 words (16 per lane) and a zero-padded tail word.
 TEST(FibChecksum, EveryOneBitChangeChangesIt) {
   auto bytes = pattern_bytes(8 * 64 + 5, 7);
-  const std::uint64_t clean = fib_payload_checksum(5, bytes.data(), bytes.size());
+  const std::uint64_t clean = fib_payload_checksum(bytes.data(), bytes.size());
   for (std::size_t bit = 0; bit < bytes.size() * 8; ++bit) {
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    EXPECT_NE(fib_payload_checksum(5, bytes.data(), bytes.size()), clean)
+    EXPECT_NE(fib_payload_checksum(bytes.data(), bytes.size()), clean)
         << "bit " << bit;
     bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
   }
@@ -556,7 +543,6 @@ FlatFib multi_chunk_fib() {
 
 TEST(FibChecksum, OneBitFlipAtEveryChunkEdgeAndLaneIsRejected) {
   const FlatFib fib = multi_chunk_fib();
-  ASSERT_EQ(fib.blob_version(), 6u);
   const auto clean = blob_bytes(fib);
   std::uint64_t payload_bytes = 0;
   std::memcpy(&payload_bytes, clean.data() + 24, 8);
@@ -587,9 +573,9 @@ TEST(FibChecksum, OneBitFlipAtEveryChunkEdgeAndLaneIsRejected) {
 
 // ---- Degenerate graphs ----
 //
-// v2 legalizes node_count == 0, and single-node / single-edge graphs hit
-// every boundary condition in the per-kind validators (empty CSRs,
-// sentinel-only offset arrays, rootless trees). Every compiled family
+// The format legalizes node_count == 0, and single-node / single-edge
+// graphs hit every boundary condition in the per-kind validators (empty
+// CSRs, sentinel-only offset arrays, rootless trees). Every compiled family
 // must round-trip through blob() → from_blob and keep forwarding.
 
 // Serialize → reload → serve an (empty) batch; validation must accept.
@@ -791,7 +777,7 @@ TEST(FibDegenerate, TwoPeeredRootsCompileAsTwoComponentMesh) {
   check_family(mesh, mesh.shadow(), 23, "mesh-two-roots");
 }
 
-// ---- v6 landmark columns ----
+// ---- Landmark columns ----
 //
 // Structure-aware mutations of the column and rank sections, resealed so
 // the checksum passes and the structural validator is what must reject
@@ -917,7 +903,7 @@ TEST(FibColumns, RankCheckReportsTheLowestFailingNode) {
   }
 }
 
-// apply_delta keeps every v6 invariant the loader checks: malformed
+// apply_delta keeps every column invariant the loader checks: malformed
 // column patches, landmark keys in ball rows and landmark-slot patches
 // that would move the pinned landmark set are refused with the arena
 // untouched; a well-formed column patch lands and reloads.

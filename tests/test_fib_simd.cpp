@@ -360,7 +360,7 @@ TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
   EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
 }
 
-// ---- Label layer validation (v4 byte surgery) ----
+// ---- Label layer validation (byte surgery) ----
 //
 // Like the mirror test above, these corrupt a *semantic* invariant and
 // re-seal the payload checksum, so only the deep validators can object: a

@@ -142,14 +142,9 @@ T read_le(std::span<const std::uint8_t> bytes, std::size_t offset) {
 #error "CPR_GOLDEN_DIR must point at tests/golden"
 #endif
 
-// The CPRPCH01 segment of today's (CPRFIB06) golden arena; the
-// CPRFIB03- and CPRFIB05-carrying segments are kept as compat fixtures.
+// The CPRPCH01 segment of the (CPRFIB06) golden arena.
 const std::string kGoldenPath =
     std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1_fib06.hex";
-const std::string kGoldenFib03Path =
-    std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1.hex";
-const std::string kGoldenFib05Path =
-    std::string(CPR_GOLDEN_DIR) + "/patch_channel_v1_fib05.hex";
 
 // The golden arena of test_blob_layout.cpp: a 3-node path 0-1-2 with
 // fully hand-written Cowen sections (node 1 the one landmark, reached
@@ -245,66 +240,6 @@ TEST(PatchSegmentWire, GoldenFileMatchesByteForByte) {
         << "CPRPCH01 byte " << i << " changed — wire-format break; bump "
            "the version and regenerate the golden file deliberately";
   }
-}
-
-// A segment published by an older build (blob version `version`): the
-// snapshot must accept it, and a patched copy must reseal in the blob's
-// own checksum (not today's hash) before the structural open — what
-// every reader and standby does on adoption.
-void expect_compat_segment_snapshots_and_opens(const std::string& path,
-                                               std::uint32_t version) {
-  std::ifstream in(path);
-  ASSERT_TRUE(in) << "missing compat golden " << path;
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-  const std::vector<std::uint8_t> golden = from_hex(text);
-  ASSERT_EQ(golden.size() % 8, 0u);
-  std::vector<std::uint64_t> segment(golden.size() / 8);
-  std::memcpy(segment.data(), golden.data(), golden.size());
-  auto* seg = reinterpret_cast<std::uint8_t*>(segment.data());
-
-  PatchSegmentHeader h;
-  auto copy = patch_channel_snapshot(seg, golden.size(), 1, &h);
-  ASSERT_FALSE(copy.empty()) << "the sealed compat segment must snapshot";
-  auto* blob = reinterpret_cast<std::uint8_t*>(copy.data());
-  const std::string magic = "CPRFIB0" + std::to_string(version);
-  ASSERT_EQ(std::memcmp(blob, magic.data(), 8), 0);
-  ASSERT_TRUE(fib_reseal_blob_checksum(blob, h.payload_bytes));
-  const FlatFib fib = FlatFib::from_memory(blob, h.payload_bytes);
-  EXPECT_EQ(fib.blob_version(), version);
-  const std::vector<std::pair<NodeId, NodeId>> queries = {{0, 2}, {2, 0}};
-  const FibBatchOutput out = forward_batch(fib, queries);
-  EXPECT_TRUE(out.results[0].delivered);
-  EXPECT_TRUE(out.results[1].delivered);
-
-  // Patch one landmark port in place, as a writer would, and vouch for
-  // it in the segment checksum only: the inner checksum is now stale.
-  std::uint8_t* inner = seg + kPatchSegmentHeaderBytes;
-  const std::uint64_t lmp = fib.section_offset(fib_section::kCowenLandmarkPort);
-  ASSERT_NE(lmp, 0u);
-  inner[lmp] ^= 0x01;
-  const std::uint64_t sum = patch_channel_checksum(
-      reinterpret_cast<const std::uint64_t*>(inner), h.payload_bytes / 8);
-  std::memcpy(seg + patch_segment::kChecksum, &sum, 8);
-  auto patched_copy = patch_channel_snapshot(seg, golden.size(), 1, &h);
-  ASSERT_FALSE(patched_copy.empty());
-  auto* patched_blob = reinterpret_cast<std::uint8_t*>(patched_copy.data());
-  EXPECT_THROW(FlatFib::from_memory(patched_blob, h.payload_bytes),
-               std::runtime_error)
-      << "the patched copy carries a stale payload checksum";
-  ASSERT_TRUE(fib_reseal_blob_checksum(patched_blob, h.payload_bytes));
-  const FlatFib patched = FlatFib::from_memory(patched_blob, h.payload_bytes);
-  EXPECT_EQ(patched.blob_version(), version);
-  EXPECT_NE(patched.cowen().landmark_port[0], fib.cowen().landmark_port[0]);
-}
-
-TEST(PatchSegmentWire, Fib03CarryingGoldenStillSnapshotsAndOpens) {
-  expect_compat_segment_snapshots_and_opens(kGoldenFib03Path, 3);
-}
-
-// CPRFIB05 carries the landmark entries in its rows and no columns.
-TEST(PatchSegmentWire, Fib05CarryingGoldenStillSnapshotsAndOpens) {
-  expect_compat_segment_snapshots_and_opens(kGoldenFib05Path, 5);
 }
 
 // The layout promises, stated as offsets — the documentation of record
@@ -551,26 +486,65 @@ TEST(PatchChannelTakeover, OddParityHeadIsRepublished) {
   EXPECT_EQ(standby.patches_applied(), 0u);
 }
 
+// Rewrites the inner blob's magic to an older format's ("CPRFIB05") in
+// the segment file of a dead writer and re-folds the segment checksum,
+// so the segment itself stays sealed.
+void restamp_inner_magic_as_v5(const fs::path& segment) {
+  std::vector<char> bytes;
+  {
+    std::ifstream in(segment, std::ios::binary);
+    ASSERT_TRUE(in);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  std::vector<std::uint64_t> words(bytes.size() / 8);
+  ASSERT_EQ(words.size() * 8, bytes.size());
+  std::memcpy(words.data(), bytes.data(), bytes.size());
+  auto* seg = reinterpret_cast<std::uint8_t*>(words.data());
+  PatchSegmentHeader h;
+  ASSERT_TRUE(patch_channel_read_header(seg, bytes.size(), &h));
+  seg[kPatchSegmentHeaderBytes + 7] = '5';
+  const std::uint64_t sum =
+      patch_channel_checksum(words.data() + kPatchSegmentHeaderBytes / 8,
+                             h.payload_bytes / 8);
+  std::memcpy(seg + patch_segment::kChecksum, &sum, 8);
+  ASSERT_FALSE(patch_channel_snapshot(seg, bytes.size(), 1, nullptr).empty())
+      << "the segment itself must still be sealed";
+  std::ofstream out(segment, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(seg),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out);
+}
+
+// Two heads with an even seq that adoption must still refuse: one whose
+// writer died after the window closed but before the checksum fold (the
+// sum disagrees with the bytes forever), and one whose segment checksum
+// holds but whose inner blob carries an older format's magic (the
+// reseal refuses it before the structural open runs).
 TEST(PatchChannelTakeover, StaleChecksumHeadIsRepublished) {
-  StoreDir dir("tk_sum");
   const FlatFib fib0 = make_fib(7);
   const auto blob0 = fib0.blob();
-  {
-    auto w = PatchChannelWriter::acquire(dir.path, 1);
-    w.publish(fib0);
-    // Dies after the window closed but before the checksum fold: seq is
-    // even, the sum disagrees with the bytes forever.
-    ASSERT_TRUE(w.apply(two_slot_delta(), PatchStop::kBeforeChecksum));
-  }
-  PatchSegmentHeader h;
-  ArenaStore probe(dir.path);
-  ASSERT_TRUE(read_segment_header_file(probe.segment_file(1), &h));
-  ASSERT_EQ(h.seq % 2, 0u);
+  for (const bool old_magic : {false, true}) {
+    SCOPED_TRACE(old_magic ? "old inner magic" : "no checksum fold");
+    StoreDir dir(old_magic ? "tk_magic" : "tk_sum");
+    {
+      auto w = PatchChannelWriter::acquire(dir.path, 1);
+      w.publish(fib0);
+      if (!old_magic) {
+        ASSERT_TRUE(w.apply(two_slot_delta(), PatchStop::kBeforeChecksum));
+      }
+    }
+    PatchSegmentHeader h;
+    ArenaStore probe(dir.path);
+    if (old_magic) restamp_inner_magic_as_v5(probe.segment_file(1));
+    ASSERT_TRUE(read_segment_header_file(probe.segment_file(1), &h));
+    ASSERT_EQ(h.seq % 2, 0u);
 
-  auto standby = PatchChannelWriter::acquire(dir.path, 2);
-  EXPECT_EQ(standby.recover({blob0.data(), blob0.size()}), 2u);
-  EXPECT_EQ(standby.last_takeover(), TakeoverOutcome::kRepublished)
-      << "bytes nothing vouches for must never be adopted";
+    auto standby = PatchChannelWriter::acquire(dir.path, 2);
+    EXPECT_EQ(standby.recover({blob0.data(), blob0.size()}), 2u);
+    EXPECT_EQ(standby.last_takeover(), TakeoverOutcome::kRepublished)
+        << "bytes nothing vouches for must never be adopted";
+  }
 }
 
 TEST(PatchChannelTakeover, SealedHeadIsAdoptedInPlaceWithPatchesIntact) {
@@ -784,8 +758,10 @@ constexpr int kReaderWrongGeneration = 21;    // a republish happened
 constexpr int kReaderNeverAdopted = 22;
 constexpr int kReaderNeverSawFinal = 23;
 constexpr int kReaderWrongFinalBytes = 24;
+constexpr int kReaderNeverPublished = 25;
 constexpr int kWriterApplyRefused = 30;
 constexpr int kWriterHandshakeTimeout = 31;
+constexpr int kWriterReaderStalled = 32;
 
 // Control words shared by the three forked processes.
 struct ForkControl {
@@ -808,8 +784,7 @@ int child_writer_main(const fs::path& dir, const FlatFib& fib0,
   // Both readers must serve the pre-patch state before churn starts.
   std::size_t seen[2] = {0, 0};
   for (std::size_t r = 0; r < 2; ++r) {
-    test::wait_for_progress(ctl.batches[r], 0);
-    if (ctl.batches[r].load(std::memory_order_acquire) == 0) {
+    if (!test::wait_for_progress(ctl.batches[r], 0)) {
       return kWriterHandshakeTimeout;
     }
   }
@@ -817,7 +792,9 @@ int child_writer_main(const fs::path& dir, const FlatFib& fib0,
   // they interleave with the patches however the processes are scheduled.
   for (const FibDelta& d : deltas) {
     for (std::size_t r = 0; r < 2; ++r) {
-      test::wait_for_progress(ctl.batches[r], seen[r]);
+      if (!test::wait_for_progress(ctl.batches[r], seen[r])) {
+        return kWriterReaderStalled;
+      }
       seen[r] = ctl.batches[r].load(std::memory_order_acquire);
     }
     if (!writer.apply(d)) return kWriterApplyRefused;
@@ -874,9 +851,11 @@ int child_polling_reader_main(
     const fs::path& dir, const std::vector<std::uint64_t>& expected,
     const std::vector<std::pair<NodeId, NodeId>>& queries, ForkControl& ctl) {
   PatchChannelReader reader(dir);
-  test::wait_for_progress(ctl.published, 0);
-  const int rc = reader_loop(expected, queries, ctl, kPollingReader,
-                             [&] { return reader.current(); });
+  int rc = kReaderNeverPublished;
+  if (test::wait_for_progress(ctl.published, 0)) {
+    rc = reader_loop(expected, queries, ctl, kPollingReader,
+                     [&] { return reader.current(); });
+  }
   ctl.batches[kPollingReader].store(test::kProgressExited,
                                     std::memory_order_release);
   return rc;
@@ -886,10 +865,12 @@ int child_watcher_reader_main(
     const fs::path& dir, const std::vector<std::uint64_t>& expected,
     const std::vector<std::pair<NodeId, NodeId>>& queries, ForkControl& ctl) {
   StoreWatcher watcher(dir);
-  test::wait_for_progress(ctl.published, 0);
-  watcher.wait_for_generation(1, std::chrono::seconds(30));
-  const int rc = reader_loop(expected, queries, ctl, kWatcherReader,
-                             [&] { return watcher.snapshot(); });
+  int rc = kReaderNeverPublished;
+  if (test::wait_for_progress(ctl.published, 0)) {
+    watcher.wait_for_generation(1, std::chrono::seconds(30));
+    rc = reader_loop(expected, queries, ctl, kWatcherReader,
+                     [&] { return watcher.snapshot(); });
+  }
   ctl.batches[kWatcherReader].store(test::kProgressExited,
                                     std::memory_order_release);
   return rc;
@@ -978,8 +959,10 @@ TEST_P(PatchChannelSeeds, CrossProcessBatchesMatchSomeLegalGeneration) {
         << who << ": 20=batch matched no legal generation (torn serving), "
                   "21=saw a republished generation, 22=never adopted, "
                   "23=never saw the final state, 24=wrong final bytes, "
+                  "25=the writer never published, "
                   "30=writer refused a delta the oracle accepted, "
-                  "31=reader handshake timed out";
+                  "31=reader handshake timed out, "
+                  "32=a reader stopped finishing batches mid-churn";
   };
   reap(writer_pid, "writer");
   reap(poll_pid, "polling reader");
@@ -1070,19 +1053,36 @@ void race_a_live_patcher(const std::string& tag, const FibDelta& dark,
   // (seqlock window + checksum fold). Each flip first waits for one more
   // completed batch and one more validated snapshot, so both kinds of
   // reader interleave with the patches however the threads are
-  // scheduled.
+  // scheduled. A stalled counter or a refused flip ends the loop, and
+  // the workers are joined before anything is asserted: an ASSERT that
+  // returned with joinable threads would terminate the process.
   constexpr std::size_t kFlips = 64;
   std::size_t seen_batches = 0;
   std::size_t seen_snapshots = 0;
-  for (std::size_t i = 0; i < kFlips; ++i) {
-    test::wait_for_progress(batches, seen_batches);
-    test::wait_for_progress(snapshots_ok, seen_snapshots);
+  std::size_t flips = 0;
+  std::string stalled;  // the counter that stopped moving
+  bool applied = true;
+  for (; flips < kFlips; ++flips) {
+    if (!test::wait_for_progress(batches, seen_batches)) {
+      stalled = "batches";
+      break;
+    }
+    if (!test::wait_for_progress(snapshots_ok, seen_snapshots)) {
+      stalled = "snapshots_ok";
+      break;
+    }
     seen_batches = batches.load(std::memory_order_acquire);
     seen_snapshots = snapshots_ok.load(std::memory_order_acquire);
-    ASSERT_TRUE(writer.apply(flip(i)));
+    applied = writer.apply(flip(flips));
+    if (!applied) break;
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : workers) t.join();
+  ASSERT_TRUE(stalled.empty())
+      << "`" << stalled << "` made no progress for 60 s before flip "
+      << flips << " (at " << batches.load() << " batches, "
+      << snapshots_ok.load() << " validated snapshots)";
+  ASSERT_TRUE(applied) << "the writer refused flip " << flips;
 
   EXPECT_EQ(illegal.load(), 0u)
       << "a batch matched neither reachable state (torn serving) out of "

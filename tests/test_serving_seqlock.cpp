@@ -120,10 +120,13 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
 
   // The patcher: one thread, the single-writer contract. Each event
   // waits for one more completed batch, so the readers interleave with
-  // the patches however the threads are scheduled.
+  // the patches however the threads are scheduled. The first wait that
+  // times out ends the trace.
   std::size_t seen_batches = 0;
+  bool readers_progressed = true;
   for (const auto& ev : trace) {
-    test::wait_for_progress(batches, seen_batches);
+    readers_progressed = test::wait_for_progress(batches, seen_batches);
+    if (!readers_progressed) break;
     seen_batches = batches.load(std::memory_order_acquire);
     started.fetch_add(1, std::memory_order_release);
     const auto applied = engine.apply(ev);
@@ -136,6 +139,9 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
+  EXPECT_TRUE(readers_progressed)
+      << "`batches` stalled at " << batches.load()
+      << ": no reader finished a batch for 60 s";
   EXPECT_EQ(illegal.load(), 0u)
       << "a reader served a batch matching NO legally observable "
          "generation (torn serving) out of "

@@ -139,19 +139,21 @@ inline bool hash_in_window(const std::vector<std::uint64_t>& expected,
 inline constexpr std::size_t kProgressExited =
     std::numeric_limits<std::size_t>::max() / 2;
 
-// Paces a test's writer on its readers: returns once `counter` has
-// moved past `seen`, i.e. after at least one more completed read. Gives
-// up after a minute, so a reader that never progresses fails the
-// caller's own assertion instead of hanging the suite.
-inline void wait_for_progress(const std::atomic<std::size_t>& counter,
-                              std::size_t seen) {
-  if (seen >= kProgressExited) return;
+// Paces a test's writer on its readers: returns true once `counter` has
+// moved past `seen`, i.e. after at least one more completed read, and
+// false after a minute without progress. A caller that sees false stops
+// pacing and fails, naming the stalled counter: waiting again would
+// only add another minute per remaining step.
+[[nodiscard]] inline bool wait_for_progress(
+    const std::atomic<std::size_t>& counter, std::size_t seen) {
+  if (seen >= kProgressExited) return true;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (counter.load(std::memory_order_acquire) <= seen &&
-         std::chrono::steady_clock::now() < deadline) {
+  while (counter.load(std::memory_order_acquire) <= seen) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
     std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
+  return true;
 }
 
 // Control words for the fork-based suites: one T in an anonymous
